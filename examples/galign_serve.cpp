@@ -45,7 +45,7 @@
 //   [--mem-budget=512m] [--topk=10] [--retry] [--clients=4]
 //   [--load-multiple=4] [--poll-ms=50] [--no-watch] [--rounds=2]
 // Export flags: [--epochs=30] [--dim=128] [--anchor-k=10]
-//   [--ann-backend=lsh|hnsw] [--ann-recall-target=0.98]
+//   [--ann-recall-target=0.98]
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -87,7 +87,6 @@ struct ServeCliOptions {
   int epochs = 30;
   int64_t dim = 128;
   int64_t anchor_k = 10;
-  AnnConfig ann;
   double ann_recall_target = 0.98;
   int64_t topk = 10;
   uint64_t mem_budget = 0;
@@ -118,7 +117,7 @@ int Usage() {
       "  export: --source=<edges> --target=<edges> [--source-attrs=<tsv>]\n"
       "          [--target-attrs=<tsv>] | --generate=<n>\n"
       "          [--epochs=30] [--dim=128] [--anchor-k=10]\n"
-      "          [--ann-backend=lsh|hnsw] [--ann-recall-target=0.98]\n"
+      "          [--ann-recall-target=0.98]\n"
       "  serve:  [--workers=2] [--queue-capacity=64] [--deadline-ms=250]\n"
       "          [--mem-budget=512m] [--topk=10] [--retry] [--poll-ms=50]\n"
       "          [--no-watch]\n"
@@ -187,7 +186,6 @@ int RunExport(const ServeCliOptions& opt) {
   AlignmentIndexOptions options;
   options.anchor_k = opt.anchor_k;
   AnnPolicy recall_policy;
-  recall_policy.config = opt.ann;
   recall_policy.recall_target = opt.ann_recall_target;
   options.ann = EffortScaledConfig(recall_policy);
 
@@ -793,16 +791,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       opt.anchor_k = v.ValueOrDie();
-      continue;
-    }
-    if (ParseFlag(argv[i], "--ann-backend", &flag)) {
-      if (flag == "lsh") opt.ann.backend = AnnBackend::kLsh;
-      else if (flag == "hnsw") opt.ann.backend = AnnBackend::kHnsw;
-      else {
-        std::fprintf(stderr, "bad --ann-backend value (lsh|hnsw): %s\n",
-                     flag.c_str());
-        return 2;
-      }
       continue;
     }
     if (ParseFlag(argv[i], "--ann-recall-target", &flag)) {

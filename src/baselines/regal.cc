@@ -83,7 +83,7 @@ Result<TopKAlignment> RegalAligner::AlignTopK(const AttributedGraph& source,
   hs.push_back(y.Block(0, 0, n1, y.cols()));
   ht.push_back(y.Block(n1, 0, n2, y.cols()));
   // Rows are unit-normalized, so the single-layer inner product is cosine —
-  // exactly the metric the ANN backends index.
+  // exactly the metric the ANN index serves.
   if (ShouldUseAnn(ann_policy_, n1, n2)) {
     return AnnEmbeddingTopK(hs, ht, {1.0}, k, ann_policy_, ctx);
   }

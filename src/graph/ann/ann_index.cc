@@ -1,20 +1,10 @@
 #include "graph/ann/ann_index.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <new>
-#include <string>
-#include <utility>
 
 #include "common/memory_budget.h"
-#include "graph/ann/backends.h"
 
 namespace galign {
-
-namespace {
-constexpr double kNoScore = -std::numeric_limits<double>::infinity();
-}  // namespace
 
 int64_t EffectiveLshBits(const AnnConfig& config, int64_t n) {
   // The cap keeps the direct-addressed bucket-offset arrays bounded:
@@ -34,61 +24,16 @@ int64_t EffectiveLshBits(const AnnConfig& config, int64_t n) {
 uint64_t EstimateAnnIndexBytes(int64_t n, int64_t dim,
                                const AnnConfig& config) {
   const uint64_t un = static_cast<uint64_t>(std::max<int64_t>(n, 0));
-  const uint64_t base = DenseBytes(n, dim);
-  if (config.backend == AnnBackend::kLsh) {
-    const int64_t bits = EffectiveLshBits(config, n);
-    const uint64_t tables =
-        static_cast<uint64_t>(std::max<int64_t>(config.lsh_tables, 1));
-    // Hyperplanes + per-table direct-addressed bucket offsets (2^bits + 1)
-    // and packed id arrays, + the transient sorted (signature, id) pairs
-    // and projection block used while hashing.
-    return base + DenseBytes(tables * bits, dim) +
-           tables * ((uint64_t{1} << bits) + 1 + un) * sizeof(int32_t) +
-           un * (sizeof(uint32_t) + sizeof(int32_t)) +
-           DenseBytes(4096, static_cast<int64_t>(tables) * bits);
-  }
-  // HNSW: level-0 adjacency of 2M plus a geometric tail of M-degree upper
-  // levels (expectation ~1/(M-1) extra nodes per node, bounded by 2x).
-  const uint64_t m =
-      static_cast<uint64_t>(std::max<int64_t>(config.hnsw_degree, 2));
-  return base + un * (3 * m + 2) * sizeof(int32_t) +
-         un * 2 * sizeof(int64_t);
+  const int64_t bits = EffectiveLshBits(config, n);
+  const uint64_t tables =
+      static_cast<uint64_t>(std::max<int64_t>(config.lsh_tables, 1));
+  // Base copy + hyperplanes + per-table direct-addressed bucket offsets
+  // (2^bits + 1) and packed id arrays, + the transient sorted (signature,
+  // id) pairs and projection block used while hashing.
+  return DenseBytes(n, dim) + DenseBytes(tables * bits, dim) +
+         tables * ((uint64_t{1} << bits) + 1 + un) * sizeof(int32_t) +
+         un * (sizeof(uint32_t) + sizeof(int32_t)) +
+         DenseBytes(4096, static_cast<int64_t>(tables) * bits);
 }
-
-Result<std::unique_ptr<AnnIndex>> BuildAnnIndex(Matrix base,
-                                                const AnnConfig& config,
-                                                const RunContext& ctx) {
-  if (base.rows() < 0 || base.cols() < 0) {
-    return Status::InvalidArgument("BuildAnnIndex: negative base extents");
-  }
-  switch (config.backend) {
-    case AnnBackend::kLsh:
-      return ann_internal::BuildLshIndex(std::move(base), config, ctx);
-    case AnnBackend::kHnsw:
-      return ann_internal::BuildHnswIndex(std::move(base), config, ctx);
-  }
-  return Status::InvalidArgument("BuildAnnIndex: unknown backend");
-}
-
-namespace ann_internal {
-
-Result<TopKAlignment> MakeEmptyTopK(int64_t rows, int64_t cols, int64_t k) {
-  TopKAlignment out;
-  out.rows = rows;
-  out.cols = cols;
-  out.k = k;
-  out.rows_computed = 0;
-  try {
-    out.index.assign(static_cast<size_t>(rows) * k, -1);
-    out.score.assign(static_cast<size_t>(rows) * k, kNoScore);
-  } catch (const std::bad_alloc&) {
-    return Status::ResourceExhausted(
-        "AnnIndex: top-k output of " + std::to_string(rows) + "x" +
-        std::to_string(k) + " does not fit");
-  }
-  return out;
-}
-
-}  // namespace ann_internal
 
 }  // namespace galign

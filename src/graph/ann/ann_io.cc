@@ -15,18 +15,13 @@ namespace galign {
 
 namespace {
 
-constexpr char kRecipeMagic[] = "galign-ann-recipe-v1";
-
-const char* BackendName(AnnBackend b) {
-  return b == AnnBackend::kLsh ? "lsh" : "hnsw";
-}
-
-Result<AnnBackend> ParseBackend(const std::string& name,
-                                const std::string& context) {
-  if (name == "lsh") return AnnBackend::kLsh;
-  if (name == "hnsw") return AnnBackend::kHnsw;
-  return Status::IOError("unknown ANN backend '" + name + "' in " + context);
-}
+constexpr char kRecipeMagic[] = "galign-ann-recipe-v2";
+// v1 recipes also named a backend and carried three HNSW knobs; an `lsh`
+// v1 recipe describes exactly the index a v2 recipe does.
+constexpr char kRecipeMagicV1[] = "galign-ann-recipe-v1";
+// lsh_tables arrives from disk and sizes the hyperplane matrix, so it is
+// capped like the artifact's other counts: 8x the default.
+constexpr int64_t kMaxRecipeLshTables = 64;
 
 }  // namespace
 
@@ -58,14 +53,10 @@ std::string SerializeAnnRecipe(const AnnIndex& index,
                                const AnnConfig& config) {
   std::ostringstream out;
   out << kRecipeMagic << "\n";
-  out << "backend " << BackendName(config.backend) << "\n";
   out << "seed " << config.seed << "\n";
   out << "lsh_tables " << config.lsh_tables << "\n";
   out << "lsh_bits " << config.lsh_bits << "\n";
   out << "lsh_probes " << config.lsh_probes << "\n";
-  out << "hnsw_degree " << config.hnsw_degree << "\n";
-  out << "hnsw_ef_construction " << config.hnsw_ef_construction << "\n";
-  out << "hnsw_ef_search " << config.hnsw_ef_search << "\n";
   out << "rows " << index.base().rows() << "\n";
   out << "dim " << index.dim() << "\n";
   char fp[16];
@@ -81,9 +72,10 @@ Result<std::unique_ptr<AnnIndex>> RebuildAnnIndex(const std::string& payload,
                                                   const std::string& context) {
   std::istringstream in(payload);
   std::string tok;
-  if (!(in >> tok) || tok != kRecipeMagic) {
+  if (!(in >> tok) || (tok != kRecipeMagic && tok != kRecipeMagicV1)) {
     return Status::IOError("not an ANN recipe (bad magic) in " + context);
   }
+  const bool v1 = tok == kRecipeMagicV1;
   AnnConfig config;
   int64_t rows = -1, dim = -1;
   std::string fingerprint_hex;
@@ -94,19 +86,28 @@ Result<std::unique_ptr<AnnIndex>> RebuildAnnIndex(const std::string& payload,
     }
     return Status::OK();
   };
-  std::string backend_name;
-  GALIGN_RETURN_NOT_OK(read_kv("backend", &backend_name));
-  auto backend = ParseBackend(backend_name, context);
-  GALIGN_RETURN_NOT_OK(backend.status());
-  config.backend = backend.ValueOrDie();
+  if (v1) {
+    std::string backend;
+    GALIGN_RETURN_NOT_OK(read_kv("backend", &backend));
+    if (backend != "lsh") {
+      return Status::IOError("ANN recipe in " + context + " names backend '" +
+                             backend +
+                             "', which this build does not have; re-export "
+                             "the artifact");
+    }
+  }
   GALIGN_RETURN_NOT_OK(read_kv("seed", &config.seed));
   GALIGN_RETURN_NOT_OK(read_kv("lsh_tables", &config.lsh_tables));
   GALIGN_RETURN_NOT_OK(read_kv("lsh_bits", &config.lsh_bits));
   GALIGN_RETURN_NOT_OK(read_kv("lsh_probes", &config.lsh_probes));
-  GALIGN_RETURN_NOT_OK(read_kv("hnsw_degree", &config.hnsw_degree));
-  GALIGN_RETURN_NOT_OK(
-      read_kv("hnsw_ef_construction", &config.hnsw_ef_construction));
-  GALIGN_RETURN_NOT_OK(read_kv("hnsw_ef_search", &config.hnsw_ef_search));
+  if (v1) {
+    // The HNSW knobs never affected an LSH index.
+    int64_t unused = 0;
+    for (const char* key :
+         {"hnsw_degree", "hnsw_ef_construction", "hnsw_ef_search"}) {
+      GALIGN_RETURN_NOT_OK(read_kv(key, &unused));
+    }
+  }
   GALIGN_RETURN_NOT_OK(read_kv("rows", &rows));
   GALIGN_RETURN_NOT_OK(read_kv("dim", &dim));
   GALIGN_RETURN_NOT_OK(read_kv("fingerprint", &fingerprint_hex));
@@ -118,6 +119,13 @@ Result<std::unique_ptr<AnnIndex>> RebuildAnnIndex(const std::string& payload,
           std::string::npos) {
     return Status::IOError("bad ANN fingerprint '" + fingerprint_hex +
                            "' in " + context);
+  }
+  if (config.lsh_tables < 1 || config.lsh_tables > kMaxRecipeLshTables) {
+    return Status::IOError("ANN recipe lsh_tables " +
+                           std::to_string(config.lsh_tables) +
+                           " outside [1, " +
+                           std::to_string(kMaxRecipeLshTables) + "] in " +
+                           context);
   }
   if (rows != base.rows() || dim != base.cols()) {
     return Status::IOError(

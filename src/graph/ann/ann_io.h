@@ -1,14 +1,14 @@
 // Serialize / deserialize an AnnIndex (DESIGN.md §12).
 //
-// Both backends are deterministic pure functions of (base rows, config,
-// seed) — the DESIGN.md §11 reproducibility contract — so the durable form
-// of an index is its *recipe*: the full AnnConfig, the expected shape, and
-// a behavioral fingerprint (a CRC32 over the results of a fixed probe
-// query batch). Deserialization re-runs the seeded build over the caller's
-// base rows and then verifies the fingerprint, rejecting with a typed
-// IOError when the rebuilt index answers differently than the one that was
-// saved (wrong base rows, config drift, or a backend whose build stopped
-// being deterministic). This keeps artifacts small — the base embedding
+// The index is a deterministic pure function of (base rows, config, seed)
+// — the DESIGN.md §11 reproducibility contract — so the durable form of an
+// index is its *recipe*: the full AnnConfig, the expected shape, and a
+// behavioral fingerprint (a CRC32 over the results of a fixed probe query
+// batch). Deserialization re-runs the seeded build over the caller's base
+// rows and then verifies the fingerprint, rejecting with a typed IOError
+// when the rebuilt index answers differently than the one that was saved
+// (wrong base rows, config drift, or a build that stopped being
+// deterministic). This keeps artifacts small — the base embedding
 // rows are stored once by the containing artifact, not duplicated inside
 // the index section — while still giving load-time verify-or-reject
 // semantics over the retrieval structure itself.
@@ -35,17 +35,21 @@ namespace galign {
 uint32_t AnnIndexFingerprint(const AnnIndex& index);
 
 /// \brief Serializes the recipe (config + shape + fingerprint) of `index`
-/// built under `config`. Text payload, no CRC trailer — the containing
-/// artifact is responsible for durability framing.
+/// built under `config`, in the `galign-ann-recipe-v2` layout. Text
+/// payload, no CRC trailer — the containing artifact is responsible for
+/// durability framing.
 std::string SerializeAnnRecipe(const AnnIndex& index, const AnnConfig& config);
 
 /// \brief Rebuilds the index described by `payload` over `base` and
 /// verifies it.
 ///
-/// Fails with IOError when the payload is malformed, the shape disagrees
-/// with `base`, or the rebuilt index's fingerprint differs from the saved
-/// one. `context` names the source in error messages. Budget admission and
-/// deadlines apply through `ctx` exactly as in BuildAnnIndex.
+/// Reads the v2 layout and the v1 layout an earlier build published; a v1
+/// recipe whose backend is not `lsh` is an IOError asking for a re-export.
+/// Fails with IOError when the payload is malformed, lsh_tables lies
+/// outside [1, 64], the shape disagrees with `base`, or the rebuilt index's
+/// fingerprint differs from the saved one. `context` names the source in
+/// error messages. Budget admission and deadlines apply through `ctx`
+/// exactly as in BuildAnnIndex.
 [[nodiscard]] Result<std::unique_ptr<AnnIndex>> RebuildAnnIndex(
     const std::string& payload, Matrix base, const RunContext& ctx,
     const std::string& context);

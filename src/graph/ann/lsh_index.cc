@@ -1,5 +1,6 @@
 // Cosine LSH via signed random projections (Charikar 2002), multi-table
-// with multiprobe (Lv et al. 2007).
+// with multiprobe (Lv et al. 2007): the AnnIndex that BuildAnnIndex
+// (graph/ann/ann_index.h) builds.
 //
 // Build: every indexed row is projected onto `tables * bits` Gaussian
 // hyperplanes with one blocked GEMM (the PR-1 kernel — hashing is a matrix
@@ -23,6 +24,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -34,13 +36,12 @@
 #include "common/rng.h"
 #include "common/run_context.h"
 #include "common/status.h"
-#include "graph/ann/backends.h"
+#include "graph/ann/ann_index.h"
 #include "graph/similarity_chunked.h"
 #include "la/matrix.h"
 #include "la/ops.h"
 
 namespace galign {
-namespace ann_internal {
 namespace {
 
 // Rows hashed (build) or queried per outer block: bounds the transient
@@ -48,7 +49,35 @@ namespace {
 constexpr int64_t kHashBlockRows = 4096;
 constexpr int64_t kQueryBlockRows = 256;
 
+constexpr double kNoScore = -std::numeric_limits<double>::infinity();
+
 using SigEntry = std::pair<uint32_t, int32_t>;  // (signature, base row id)
+
+// Allocates the -1 / -inf padded TopKAlignment skeleton QueryBatch fills
+// (rows_computed stays 0 for the caller to advance).
+Result<TopKAlignment> MakeEmptyTopK(int64_t rows, int64_t cols, int64_t k) {
+  TopKAlignment out;
+  out.rows = rows;
+  out.cols = cols;
+  out.k = k;
+  out.rows_computed = 0;
+  try {
+    out.index.assign(static_cast<size_t>(rows) * k, -1);
+    out.score.assign(static_cast<size_t>(rows) * k, kNoScore);
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted(
+        "AnnIndex: top-k output of " + std::to_string(rows) + "x" +
+        std::to_string(k) + " does not fit");
+  }
+  return out;
+}
+
+// Plain inner product of two length-d rows (the re-ranking metric).
+inline double RowDot(const double* a, const double* b, int64_t d) {
+  double acc = 0.0;
+  for (int64_t i = 0; i < d; ++i) acc += a[i] * b[i];
+  return acc;
+}
 
 class LshIndex final : public AnnIndex {
  public:
@@ -63,7 +92,6 @@ class LshIndex final : public AnnIndex {
         bucket_starts_(static_cast<size_t>(tables)),
         bucket_ids_(static_cast<size_t>(tables)) {}
 
-  std::string name() const override { return "lsh"; }
   int64_t size() const override { return indexed_; }
   int64_t dim() const override { return base_.cols(); }
   bool truncated() const override { return indexed_ < base_.rows(); }
@@ -339,9 +367,12 @@ Result<TopKAlignment> LshIndex::QueryBatch(const Matrix& queries, int64_t k,
 
 }  // namespace
 
-Result<std::unique_ptr<AnnIndex>> BuildLshIndex(Matrix base,
+Result<std::unique_ptr<AnnIndex>> BuildAnnIndex(Matrix base,
                                                 const AnnConfig& config,
                                                 const RunContext& ctx) {
+  if (base.rows() < 0 || base.cols() < 0) {
+    return Status::InvalidArgument("BuildAnnIndex: negative base extents");
+  }
   const int64_t n = base.rows();
   const int64_t d = base.cols();
   const int64_t tables = std::max<int64_t>(1, config.lsh_tables);
@@ -353,8 +384,10 @@ Result<std::unique_ptr<AnnIndex>> BuildLshIndex(Matrix base,
                                             EstimateAnnIndexBytes(n, d, config),
                                             "lsh index", &scope));
 
-  // Hyperplane normals: shape is configuration-bounded (tables * bits <=
-  // 192 rows), so the throwing constructor is fine per DESIGN.md §9.
+  // Hyperplane normals: tables * bits rows, bits <= 20. The table count is
+  // the caller's configuration; a recipe read from disk is held to
+  // [1, 64] tables before it gets here (ann_io.cc), so the throwing
+  // constructor is fine per DESIGN.md §9.
   Rng rng(config.seed);
   Matrix planes = Matrix::Gaussian(tables * bits, d, &rng);
 
@@ -365,5 +398,4 @@ Result<std::unique_ptr<AnnIndex>> BuildLshIndex(Matrix base,
   return Result<std::unique_ptr<AnnIndex>>(std::move(index));
 }
 
-}  // namespace ann_internal
 }  // namespace galign

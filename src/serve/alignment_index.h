@@ -41,7 +41,7 @@ struct AlignmentIndexOptions {
   /// Width of the precomputed anchor table (degraded-mode answers return a
   /// prefix of this). Clamped to the target size.
   int64_t anchor_k = 10;
-  /// Retrieval backend + effort baseline for the embedded ANN index.
+  /// LSH layout + effort baseline for the embedded ANN index.
   AnnConfig ann;
 };
 

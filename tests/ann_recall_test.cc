@@ -1,7 +1,7 @@
 // Recall property test for the ANN retrieval layer (DESIGN.md §11): on
 // generated workloads with meaningful neighborhood structure, the measured
 // recall of ANN top-k against the exact chunked top-k must meet the
-// policy's recall target, for both backends, across seeds. The exact path
+// policy's recall target across seeds. The exact path
 // is the oracle — the same role it plays in ComputeMetricsTopK evaluation.
 //
 // Everything here is seeded, so a passing configuration passes forever;
@@ -64,7 +64,7 @@ double MeasuredRecall(const TopKAlignment& exact, const TopKAlignment& ann) {
   return denom == 0 ? 1.0 : static_cast<double>(hits) / denom;
 }
 
-TEST(AnnRecallTest, MeetsTargetOnClusteredWorkloadsBothBackends) {
+TEST(AnnRecallTest, MeetsTargetOnClusteredWorkloads) {
   const int64_t k = 8;
   struct Case {
     int64_t n1, n2, d, clusters;
@@ -82,19 +82,13 @@ TEST(AnnRecallTest, MeetsTargetOnClusteredWorkloadsBothBackends) {
                                             c.seed, c.seed + 12)};
     auto exact = ChunkedEmbeddingTopK(hs, ht, {1.0}, k, RunContext());
     ASSERT_TRUE(exact.ok()) << exact.status().ToString();
-    for (AnnBackend backend : {AnnBackend::kLsh, AnnBackend::kHnsw}) {
-      AnnPolicy policy;
-      policy.mode = AnnMode::kOn;
-      policy.recall_target = 0.98;
-      policy.config.backend = backend;
-      auto ann = AnnEmbeddingTopK(hs, ht, {1.0}, k, policy, RunContext());
-      ASSERT_TRUE(ann.ok()) << ann.status().ToString();
-      const double recall = MeasuredRecall(exact.ValueOrDie(),
-                                           ann.ValueOrDie());
-      EXPECT_GE(recall, policy.recall_target)
-          << "backend=" << (backend == AnnBackend::kLsh ? "lsh" : "hnsw")
-          << " seed=" << c.seed;
-    }
+    AnnPolicy policy;
+    policy.mode = AnnMode::kOn;
+    policy.recall_target = 0.98;
+    auto ann = AnnEmbeddingTopK(hs, ht, {1.0}, k, policy, RunContext());
+    ASSERT_TRUE(ann.ok()) << ann.status().ToString();
+    const double recall = MeasuredRecall(exact.ValueOrDie(), ann.ValueOrDie());
+    EXPECT_GE(recall, policy.recall_target) << "seed=" << c.seed;
   }
 }
 
@@ -109,17 +103,13 @@ TEST(AnnRecallTest, MultiOrderThetaWeightingPreservesRecall) {
   const std::vector<double> theta = {0.65, 0.35};
   auto exact = ChunkedEmbeddingTopK(hs, ht, theta, k, RunContext());
   ASSERT_TRUE(exact.ok());
-  for (AnnBackend backend : {AnnBackend::kLsh, AnnBackend::kHnsw}) {
-    AnnPolicy policy;
-    policy.mode = AnnMode::kOn;
-    policy.recall_target = 0.98;
-    policy.config.backend = backend;
-    auto ann = AnnEmbeddingTopK(hs, ht, theta, k, policy, RunContext());
-    ASSERT_TRUE(ann.ok()) << ann.status().ToString();
-    EXPECT_GE(MeasuredRecall(exact.ValueOrDie(), ann.ValueOrDie()),
-              policy.recall_target)
-        << (backend == AnnBackend::kLsh ? "lsh" : "hnsw");
-  }
+  AnnPolicy policy;
+  policy.mode = AnnMode::kOn;
+  policy.recall_target = 0.98;
+  auto ann = AnnEmbeddingTopK(hs, ht, theta, k, policy, RunContext());
+  ASSERT_TRUE(ann.ok()) << ann.status().ToString();
+  EXPECT_GE(MeasuredRecall(exact.ValueOrDie(), ann.ValueOrDie()),
+            policy.recall_target);
 }
 
 TEST(AnnRecallTest, SmokeOnFuzzerStyleGraphPair) {
@@ -140,19 +130,15 @@ TEST(AnnRecallTest, SmokeOnFuzzerStyleGraphPair) {
   auto exact = exact_aligner.AlignTopK(src.ValueOrDie(), tgt.ValueOrDie(),
                                        Supervision{}, RunContext(), 5);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
-  for (AnnBackend backend : {AnnBackend::kLsh, AnnBackend::kHnsw}) {
-    AttributeOnlyAligner ann_aligner;
-    AnnPolicy policy;
-    policy.mode = AnnMode::kOn;
-    policy.recall_target = 0.98;
-    policy.config.backend = backend;
-    ann_aligner.set_ann_policy(policy);
-    auto ann = ann_aligner.AlignTopK(src.ValueOrDie(), tgt.ValueOrDie(),
-                                     Supervision{}, RunContext(), 5);
-    ASSERT_TRUE(ann.ok()) << ann.status().ToString();
-    EXPECT_GE(MeasuredRecall(exact.ValueOrDie(), ann.ValueOrDie()), 0.98)
-        << (backend == AnnBackend::kLsh ? "lsh" : "hnsw");
-  }
+  AttributeOnlyAligner ann_aligner;
+  AnnPolicy policy;
+  policy.mode = AnnMode::kOn;
+  policy.recall_target = 0.98;
+  ann_aligner.set_ann_policy(policy);
+  auto ann = ann_aligner.AlignTopK(src.ValueOrDie(), tgt.ValueOrDie(),
+                                   Supervision{}, RunContext(), 5);
+  ASSERT_TRUE(ann.ok()) << ann.status().ToString();
+  EXPECT_GE(MeasuredRecall(exact.ValueOrDie(), ann.ValueOrDie()), 0.98);
 }
 
 TEST(AnnRecallTest, DegreeRankRouteIsExact) {

@@ -1,17 +1,21 @@
-// Unit tests for the ANN retrieval layer (DESIGN.md §11): both backends'
+// Unit tests for the ANN retrieval layer (DESIGN.md §11): the LSH index's
 // construction/query contracts, determinism, truncation under cancellation,
-// budget admission, the concat reduction, and the routing policy. The
-// recall *property* (measured recall >= target on generated workloads)
-// lives in ann_recall_test.cc.
+// budget admission, the concat reduction, the routing policy, and the
+// serialized recipe (both layout versions). The recall *property*
+// (measured recall >= target on generated workloads) lives in
+// ann_recall_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "graph/ann/ann.h"
 #include "graph/ann/ann_index.h"
+#include "graph/ann/ann_io.h"
 #include "graph/similarity_chunked.h"
 #include "la/matrix.h"
 
@@ -25,95 +29,77 @@ Matrix UnitRows(int64_t n, int64_t d, uint64_t seed) {
   return m;
 }
 
-AnnConfig BackendConfig(AnnBackend backend) {
-  AnnConfig cfg;
-  cfg.backend = backend;
-  return cfg;
-}
-
-const AnnBackend kBackends[] = {AnnBackend::kLsh, AnnBackend::kHnsw};
-
 TEST(AnnIndexTest, SelfQueryRecoversSelfTop1) {
   // Querying the indexed rows themselves: every unit row's best inner
-  // product is itself (similarity 1), a retrieval-sanity floor both
-  // backends must clear on a small index.
+  // product is itself (similarity 1), a retrieval-sanity floor the index
+  // must clear on a small base.
   const Matrix base = UnitRows(200, 16, 7);
-  for (AnnBackend backend : kBackends) {
-    auto index = BuildAnnIndex(base, BackendConfig(backend), RunContext());
-    ASSERT_TRUE(index.ok()) << index.status().ToString();
-    EXPECT_EQ(index.ValueOrDie()->size(), 200);
-    EXPECT_EQ(index.ValueOrDie()->dim(), 16);
-    EXPECT_FALSE(index.ValueOrDie()->truncated());
-    EXPECT_GT(index.ValueOrDie()->MemoryBytes(), 0u);
-    auto topk = index.ValueOrDie()->QueryBatch(base, 5);
-    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-    const TopKAlignment& a = topk.ValueOrDie();
-    EXPECT_EQ(a.rows_computed, 200);
-    int hits = 0;
-    for (int64_t v = 0; v < a.rows; ++v) {
-      if (a.Top1(v) == v) ++hits;
-      // Scores descend within each row; indices stay in range.
-      for (int64_t j = 0; j < a.k; ++j) {
-        EXPECT_LT(a.index[v * a.k + j], 200);
-        if (j > 0 && a.index[v * a.k + j] >= 0) {
-          EXPECT_LE(a.score[v * a.k + j], a.score[v * a.k + j - 1]);
-        }
+  auto index = BuildAnnIndex(base, AnnConfig(), RunContext());
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(index.ValueOrDie()->size(), 200);
+  EXPECT_EQ(index.ValueOrDie()->dim(), 16);
+  EXPECT_FALSE(index.ValueOrDie()->truncated());
+  EXPECT_GT(index.ValueOrDie()->MemoryBytes(), 0u);
+  auto topk = index.ValueOrDie()->QueryBatch(base, 5);
+  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+  const TopKAlignment& a = topk.ValueOrDie();
+  EXPECT_EQ(a.rows_computed, 200);
+  int hits = 0;
+  for (int64_t v = 0; v < a.rows; ++v) {
+    if (a.Top1(v) == v) ++hits;
+    // Scores descend within each row; indices stay in range.
+    for (int64_t j = 0; j < a.k; ++j) {
+      EXPECT_LT(a.index[v * a.k + j], 200);
+      if (j > 0 && a.index[v * a.k + j] >= 0) {
+        EXPECT_LE(a.score[v * a.k + j], a.score[v * a.k + j - 1]);
       }
     }
-    EXPECT_EQ(hits, 200) << "backend " << static_cast<int>(backend);
   }
+  EXPECT_EQ(hits, 200);
 }
 
 TEST(AnnIndexTest, DeterministicAcrossRebuilds) {
   const Matrix base = UnitRows(150, 12, 11);
   const Matrix queries = UnitRows(40, 12, 13);
-  for (AnnBackend backend : kBackends) {
-    auto i1 = BuildAnnIndex(base, BackendConfig(backend), RunContext());
-    auto i2 = BuildAnnIndex(base, BackendConfig(backend), RunContext());
-    ASSERT_TRUE(i1.ok() && i2.ok());
-    auto r1 = i1.ValueOrDie()->QueryBatch(queries, 7);
-    auto r2 = i2.ValueOrDie()->QueryBatch(queries, 7);
-    ASSERT_TRUE(r1.ok() && r2.ok());
-    EXPECT_EQ(r1.ValueOrDie().index, r2.ValueOrDie().index);
-    EXPECT_EQ(r1.ValueOrDie().score, r2.ValueOrDie().score);
-  }
+  auto i1 = BuildAnnIndex(base, AnnConfig(), RunContext());
+  auto i2 = BuildAnnIndex(base, AnnConfig(), RunContext());
+  ASSERT_TRUE(i1.ok() && i2.ok());
+  auto r1 = i1.ValueOrDie()->QueryBatch(queries, 7);
+  auto r2 = i2.ValueOrDie()->QueryBatch(queries, 7);
+  ASSERT_TRUE(r1.ok() && r2.ok());
+  EXPECT_EQ(r1.ValueOrDie().index, r2.ValueOrDie().index);
+  EXPECT_EQ(r1.ValueOrDie().score, r2.ValueOrDie().score);
 }
 
 TEST(AnnIndexTest, KLargerThanIndexClampsWithPadding) {
   const Matrix base = UnitRows(6, 8, 3);
   const Matrix queries = UnitRows(4, 8, 5);
-  for (AnnBackend backend : kBackends) {
-    auto index = BuildAnnIndex(base, BackendConfig(backend), RunContext());
-    ASSERT_TRUE(index.ok());
-    auto topk = index.ValueOrDie()->QueryBatch(queries, 50);
-    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-    const TopKAlignment& a = topk.ValueOrDie();
-    EXPECT_LE(a.k, 6);
-    for (int64_t i = 0; i < a.rows * a.k; ++i) {
-      EXPECT_GE(a.index[i], -1);
-      EXPECT_LT(a.index[i], 6);
-    }
+  auto index = BuildAnnIndex(base, AnnConfig(), RunContext());
+  ASSERT_TRUE(index.ok());
+  auto topk = index.ValueOrDie()->QueryBatch(queries, 50);
+  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+  const TopKAlignment& a = topk.ValueOrDie();
+  EXPECT_LE(a.k, 6);
+  for (int64_t i = 0; i < a.rows * a.k; ++i) {
+    EXPECT_GE(a.index[i], -1);
+    EXPECT_LT(a.index[i], 6);
   }
 }
 
 TEST(AnnIndexTest, EmptyBaseAndEmptyQueriesStayClean) {
-  for (AnnBackend backend : kBackends) {
-    auto index =
-        BuildAnnIndex(Matrix(0, 8), BackendConfig(backend), RunContext());
-    ASSERT_TRUE(index.ok()) << index.status().ToString();
-    EXPECT_EQ(index.ValueOrDie()->size(), 0);
-    auto topk = index.ValueOrDie()->QueryBatch(UnitRows(3, 8, 1), 4);
-    ASSERT_TRUE(topk.ok());
-    EXPECT_EQ(topk.ValueOrDie().rows_computed, 3);
-    for (int64_t idx : topk.ValueOrDie().index) EXPECT_EQ(idx, -1);
+  auto index = BuildAnnIndex(Matrix(0, 8), AnnConfig(), RunContext());
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(index.ValueOrDie()->size(), 0);
+  auto topk = index.ValueOrDie()->QueryBatch(UnitRows(3, 8, 1), 4);
+  ASSERT_TRUE(topk.ok());
+  EXPECT_EQ(topk.ValueOrDie().rows_computed, 3);
+  for (int64_t idx : topk.ValueOrDie().index) EXPECT_EQ(idx, -1);
 
-    auto full = BuildAnnIndex(UnitRows(5, 8, 2), BackendConfig(backend),
-                              RunContext());
-    ASSERT_TRUE(full.ok());
-    auto none = full.ValueOrDie()->QueryBatch(Matrix(0, 8), 4);
-    ASSERT_TRUE(none.ok());
-    EXPECT_EQ(none.ValueOrDie().rows, 0);
-  }
+  auto full = BuildAnnIndex(UnitRows(5, 8, 2), AnnConfig(), RunContext());
+  ASSERT_TRUE(full.ok());
+  auto none = full.ValueOrDie()->QueryBatch(Matrix(0, 8), 4);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none.ValueOrDie().rows, 0);
 }
 
 TEST(AnnIndexTest, CancelledBuildYieldsTruncatedButServingIndex) {
@@ -121,54 +107,45 @@ TEST(AnnIndexTest, CancelledBuildYieldsTruncatedButServingIndex) {
   token.Cancel();
   RunContext ctx = RunContext().SetToken(token);
   const Matrix base = UnitRows(100, 8, 17);
-  for (AnnBackend backend : kBackends) {
-    auto index = BuildAnnIndex(base, BackendConfig(backend), ctx);
-    ASSERT_TRUE(index.ok()) << index.status().ToString();
-    EXPECT_TRUE(index.ValueOrDie()->truncated());
-    EXPECT_LT(index.ValueOrDie()->size(), 100);
-    // The truncated index still answers over the inserted prefix.
-    auto topk = index.ValueOrDie()->QueryBatch(UnitRows(5, 8, 19), 3);
-    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-  }
+  auto index = BuildAnnIndex(base, AnnConfig(), ctx);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_TRUE(index.ValueOrDie()->truncated());
+  EXPECT_LT(index.ValueOrDie()->size(), 100);
+  // The truncated index still answers over the inserted prefix.
+  auto topk = index.ValueOrDie()->QueryBatch(UnitRows(5, 8, 19), 3);
+  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
 }
 
 TEST(AnnIndexTest, CancelledQueryWindsDownWithPartialRows) {
   const Matrix base = UnitRows(300, 8, 23);
   const Matrix queries = UnitRows(600, 8, 29);
-  for (AnnBackend backend : kBackends) {
-    auto index = BuildAnnIndex(base, BackendConfig(backend), RunContext());
-    ASSERT_TRUE(index.ok());
-    CancelToken token;
-    token.Cancel();
-    RunContext ctx = RunContext().SetToken(token);
-    auto topk = index.ValueOrDie()->QueryBatch(queries, 3, ctx);
-    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-    const TopKAlignment& a = topk.ValueOrDie();
-    EXPECT_EQ(a.rows_computed, 0);
-    for (int64_t idx : a.index) EXPECT_EQ(idx, -1);
-  }
+  auto index = BuildAnnIndex(base, AnnConfig(), RunContext());
+  ASSERT_TRUE(index.ok());
+  CancelToken token;
+  token.Cancel();
+  RunContext ctx = RunContext().SetToken(token);
+  auto topk = index.ValueOrDie()->QueryBatch(queries, 3, ctx);
+  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+  const TopKAlignment& a = topk.ValueOrDie();
+  EXPECT_EQ(a.rows_computed, 0);
+  for (int64_t idx : a.index) EXPECT_EQ(idx, -1);
 }
 
 TEST(AnnIndexTest, TinyBudgetIsRefusedCleanly) {
   const Matrix base = UnitRows(4096, 32, 31);
   RunContext ctx = RunContext::WithMemoryBudget(16 << 10);
-  for (AnnBackend backend : kBackends) {
-    auto index = BuildAnnIndex(base, BackendConfig(backend), ctx);
-    EXPECT_FALSE(index.ok()) << "backend " << static_cast<int>(backend);
-    EXPECT_EQ(index.status().code(), StatusCode::kResourceExhausted);
-  }
+  auto index = BuildAnnIndex(base, AnnConfig(), ctx);
+  EXPECT_FALSE(index.ok());
+  EXPECT_EQ(index.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(AnnIndexTest, EstimateCoversActualFootprint) {
   const Matrix base = UnitRows(2000, 16, 37);
-  for (AnnBackend backend : kBackends) {
-    const AnnConfig cfg = BackendConfig(backend);
-    auto index = BuildAnnIndex(base, cfg, RunContext());
-    ASSERT_TRUE(index.ok());
-    EXPECT_LE(index.ValueOrDie()->MemoryBytes(),
-              EstimateAnnIndexBytes(2000, 16, cfg))
-        << index.ValueOrDie()->name();
-  }
+  const AnnConfig cfg;
+  auto index = BuildAnnIndex(base, cfg, RunContext());
+  ASSERT_TRUE(index.ok());
+  EXPECT_LE(index.ValueOrDie()->MemoryBytes(),
+            EstimateAnnIndexBytes(2000, 16, cfg));
 }
 
 TEST(AnnConfigTest, EffectiveLshBitsAutoAndClamp) {
@@ -201,13 +178,10 @@ TEST(AnnPolicyTest, ShouldUseAnnRespectsModeAndThreshold) {
 TEST(AnnPolicyTest, EffortScalesWithRecallTarget) {
   AnnPolicy policy;
   policy.config.lsh_probes = 10;
-  policy.config.hnsw_ef_search = 50;
   policy.recall_target = 0.98;
   EXPECT_EQ(EffortScaledConfig(policy).lsh_probes, 10);
   policy.recall_target = 0.995;
-  AnnConfig scaled = EffortScaledConfig(policy);
-  EXPECT_EQ(scaled.lsh_probes, 20);
-  EXPECT_EQ(scaled.hnsw_ef_search, 100);
+  EXPECT_EQ(EffortScaledConfig(policy).lsh_probes, 20);
   policy.recall_target = 0.999;
   EXPECT_EQ(EffortScaledConfig(policy).lsh_probes, 30);
 }
@@ -247,27 +221,22 @@ TEST(AnnEmbeddingTest, MatchesChunkedContractOnMultiOrderInput) {
   const std::vector<double> theta = {0.7, 0.3};
   auto exact = ChunkedEmbeddingTopK(hs, ht, theta, 5, RunContext());
   ASSERT_TRUE(exact.ok());
-  for (AnnBackend backend : kBackends) {
-    AnnPolicy policy;
-    policy.mode = AnnMode::kOn;
-    policy.config.backend = backend;
-    // Exhaustive effort on a toy problem: probe everything / full beam.
-    policy.config.lsh_probes = 1 << 10;
-    policy.config.hnsw_ef_search = 90;
-    auto ann = AnnEmbeddingTopK(hs, ht, theta, 5, policy, RunContext());
-    ASSERT_TRUE(ann.ok()) << ann.status().ToString();
-    const TopKAlignment& a = ann.ValueOrDie();
-    const TopKAlignment& e = exact.ValueOrDie();
-    EXPECT_EQ(a.rows, e.rows);
-    EXPECT_EQ(a.cols, e.cols);
-    EXPECT_EQ(a.k, e.k);
-    int top1_matches = 0;
-    for (int64_t v = 0; v < a.rows; ++v) {
-      if (a.Top1(v) == e.Top1(v)) ++top1_matches;
-    }
-    EXPECT_GE(top1_matches, 114)  // >= 95% at exhaustive effort
-        << "backend " << static_cast<int>(backend);
+  AnnPolicy policy;
+  policy.mode = AnnMode::kOn;
+  // Exhaustive effort on a toy problem: probe everything.
+  policy.config.lsh_probes = 1 << 10;
+  auto ann = AnnEmbeddingTopK(hs, ht, theta, 5, policy, RunContext());
+  ASSERT_TRUE(ann.ok()) << ann.status().ToString();
+  const TopKAlignment& a = ann.ValueOrDie();
+  const TopKAlignment& e = exact.ValueOrDie();
+  EXPECT_EQ(a.rows, e.rows);
+  EXPECT_EQ(a.cols, e.cols);
+  EXPECT_EQ(a.k, e.k);
+  int top1_matches = 0;
+  for (int64_t v = 0; v < a.rows; ++v) {
+    if (a.Top1(v) == e.Top1(v)) ++top1_matches;
   }
+  EXPECT_GE(top1_matches, 114);  // >= 95% at exhaustive effort
 }
 
 TEST(AnnEmbeddingTest, RejectsMalformedInput) {
@@ -282,6 +251,96 @@ TEST(AnnEmbeddingTest, RejectsMalformedInput) {
   std::vector<Matrix> ht_wrong_dim = {UnitRows(8, 6, 2)};
   EXPECT_FALSE(
       AnnEmbeddingTopK(hs, ht_wrong_dim, {1.0}, 3, policy, RunContext()).ok());
+}
+
+// --- Recipe (graph/ann/ann_io.h) -------------------------------------------
+
+// Replaces the value on the `key` line of a serialized recipe.
+std::string WithRecipeValue(std::string recipe, const std::string& key,
+                            const std::string& value) {
+  const size_t at = recipe.find("\n" + key + " ");
+  if (at == std::string::npos) return recipe;
+  const size_t from = at + key.size() + 2;
+  return recipe.replace(from, recipe.find('\n', from) - from, value);
+}
+
+// Rewrites a v2 recipe into the v1 layout earlier builds published: the v1
+// magic, a backend line after it, and three HNSW knobs after lsh_probes.
+std::string AsV1Recipe(std::string recipe, const std::string& backend) {
+  const std::string v2_magic = "galign-ann-recipe-v2\n";
+  if (recipe.rfind(v2_magic, 0) != 0) return recipe;
+  recipe.replace(0, v2_magic.size(),
+                 "galign-ann-recipe-v1\nbackend " + backend + "\n");
+  const size_t probes = recipe.find("\nlsh_probes ");
+  const size_t eol = recipe.find('\n', probes + 1);
+  return recipe.insert(
+      eol + 1, "hnsw_degree 12\nhnsw_ef_construction 96\nhnsw_ef_search 96\n");
+}
+
+// A default index over a small base and its serialized (v2) recipe.
+class AnnRecipeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto index = BuildAnnIndex(base_, AnnConfig(), RunContext());
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    index_ = index.MoveValueOrDie();
+    recipe_ = SerializeAnnRecipe(*index_, AnnConfig());
+  }
+
+  const Matrix base_ = UnitRows(64, 8, 61);
+  std::unique_ptr<AnnIndex> index_;
+  std::string recipe_;
+};
+
+TEST_F(AnnRecipeTest, CurrentLayoutCarriesNoBackendKeys) {
+  EXPECT_EQ(recipe_.rfind("galign-ann-recipe-v2\n", 0), 0u) << recipe_;
+  EXPECT_EQ(recipe_.find("backend"), std::string::npos) << recipe_;
+  EXPECT_EQ(recipe_.find("hnsw"), std::string::npos) << recipe_;
+}
+
+TEST_F(AnnRecipeTest, V1LshRecipeRebuildsAndVerifies) {
+  // An artifact published before the recipe lost its backend keys must
+  // still load: its fingerprint verifies against today's LSH build.
+  const std::string v1 = AsV1Recipe(recipe_, "lsh");
+  ASSERT_NE(v1.find("hnsw_ef_search 96\nrows 64\n"), std::string::npos)
+      << v1;
+  auto rebuilt = RebuildAnnIndex(v1, base_, RunContext(), "v1 recipe");
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(AnnIndexFingerprint(*rebuilt.ValueOrDie()),
+            AnnIndexFingerprint(*index_));
+}
+
+TEST_F(AnnRecipeTest, V1HnswRecipeIsTypedIOErrorNamingIt) {
+  auto r = RebuildAnnIndex(AsV1Recipe(recipe_, "hnsw"), base_, RunContext(),
+                           "v1 recipe");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  EXPECT_NE(r.status().message().find("hnsw"), std::string::npos)
+      << r.status().message();
+}
+
+TEST_F(AnnRecipeTest, TableCountOutsideBoundIsTypedIOError) {
+  // lsh_tables comes from disk and sizes the hyperplane matrix: 10^16
+  // tables would ask for exabytes, which must be a typed IOError rather
+  // than bad_alloc escaping the loader.
+  for (const char* tables : {"10000000000000000", "0", "65"}) {
+    auto r = RebuildAnnIndex(WithRecipeValue(recipe_, "lsh_tables", tables),
+                             base_, RunContext(), "hostile recipe");
+    ASSERT_FALSE(r.ok()) << tables;
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError) << tables;
+    EXPECT_NE(r.status().message().find("lsh_tables"), std::string::npos)
+        << r.status().message();
+  }
+  // Both ends of the bound still round-trip.
+  for (int64_t tables : {1, 64}) {
+    AnnConfig cfg;
+    cfg.lsh_tables = tables;
+    auto edge = BuildAnnIndex(base_, cfg, RunContext());
+    ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+    auto r = RebuildAnnIndex(SerializeAnnRecipe(*edge.ValueOrDie(), cfg), base_,
+                             RunContext(), "recipe at the bound");
+    EXPECT_TRUE(r.ok()) << tables << ": " << r.status().ToString();
+  }
 }
 
 }  // namespace

@@ -214,7 +214,7 @@ TEST(DegenerateConformanceTest, BudgetedRunsOnDegenerateShapesStayClean) {
 // AttributeOnly) is forced through it (mode kOn bypasses the size
 // threshold) over the degenerate shapes, plus the ANN-specific hazards:
 // k >= n (padding, not out-of-range ids), all-identical embeddings (every
-// point in one LSH bucket / one HNSW cluster), and a low memory budget.
+// point in one LSH bucket), and a low memory budget.
 
 std::vector<std::unique_ptr<Aligner>> AnnRoutedAligners() {
   std::vector<std::unique_ptr<Aligner>> out;
@@ -263,16 +263,13 @@ TEST(DegenerateConformanceTest, AnnRoutedAlignersAllShapes) {
   auto shapes = DegenerateShapes();
   shapes.push_back(
       {"identical-attributes", IdenticalAttributes(10), IdenticalAttributes(8)});
-  for (AnnBackend backend : {AnnBackend::kLsh, AnnBackend::kHnsw}) {
-    for (auto& a : AnnRoutedAligners()) {
-      AnnPolicy policy;
-      policy.mode = AnnMode::kOn;
-      policy.config.backend = backend;
-      a->set_ann_policy(policy);
-      for (const auto& shape : shapes) {
-        ExpectAnnConformance(a.get(), shape.source, shape.target, shape.name,
-                             RunContext());
-      }
+  for (auto& a : AnnRoutedAligners()) {
+    AnnPolicy policy;
+    policy.mode = AnnMode::kOn;
+    a->set_ann_policy(policy);
+    for (const auto& shape : shapes) {
+      ExpectAnnConformance(a.get(), shape.source, shape.target, shape.name,
+                           RunContext());
     }
   }
 }
@@ -281,17 +278,14 @@ TEST(DegenerateConformanceTest, AnnRoutedBudgetedRunsStayClean) {
   auto shapes = DegenerateShapes();
   shapes.push_back(
       {"identical-attributes", IdenticalAttributes(10), IdenticalAttributes(8)});
-  for (AnnBackend backend : {AnnBackend::kLsh, AnnBackend::kHnsw}) {
-    for (auto& a : AnnRoutedAligners()) {
-      AnnPolicy policy;
-      policy.mode = AnnMode::kOn;
-      policy.config.backend = backend;
-      a->set_ann_policy(policy);
-      for (const auto& shape : shapes) {
-        RunContext ctx = RunContext::WithMemoryBudget(32 << 10);
-        ExpectAnnConformance(a.get(), shape.source, shape.target, shape.name,
-                             ctx);
-      }
+  for (auto& a : AnnRoutedAligners()) {
+    AnnPolicy policy;
+    policy.mode = AnnMode::kOn;
+    a->set_ann_policy(policy);
+    for (const auto& shape : shapes) {
+      RunContext ctx = RunContext::WithMemoryBudget(32 << 10);
+      ExpectAnnConformance(a.get(), shape.source, shape.target, shape.name,
+                           ctx);
     }
   }
 }
