@@ -18,10 +18,13 @@
 namespace galign {
 namespace {
 
-AttributedGraph BenchGraph(int64_t n, int64_t deg) {
+// A power-law graph with `tags` binary attributes, each set with
+// probability `density`.
+AttributedGraph BenchGraph(int64_t n, int64_t deg, int64_t tags = 16,
+                           double density = 0.2) {
   Rng rng(42);
   auto g = PowerLawGraph(n, n * deg / 2, 2.5, &rng).MoveValueOrDie();
-  return g.WithAttributes(BinaryAttributes(n, 16, 0.2, &rng))
+  return g.WithAttributes(BinaryAttributes(n, tags, density, &rng))
       .MoveValueOrDie();
 }
 
@@ -118,6 +121,81 @@ void BM_SpMMTransposed(benchmark::State& state) {
 }
 BENCHMARK(BM_SpMMTransposed)->Arg(1000)->Arg(4000)->Arg(16000);
 
+// Layer 1's product at the Douban pair's shape: the propagated tag input
+// X = C·normalize(F) (3906 x 538) times W1 (538 x 200) in the forward pass,
+// and Xᵀ·G (G 3906 x 200) for dW1 in the backward pass, with the input
+// dense (BM_LayerOne*Dense) or in CSR (BM_LayerOne*Sparse). The argument is
+// X's density in percent; Douban's inputs are 3.1-4.5% dense and
+// topk_ann_6k's 67%. The crossover sets LayerInput::kMaxSparseDensity.
+Matrix LayerOneInput(int64_t percent) {
+  Rng rng(9);
+  Matrix x(3906, 538);
+  for (int64_t i = 0; i < x.size(); ++i) {
+    if (rng.Uniform() * 100.0 < static_cast<double>(percent)) {
+      x.data()[i] = rng.Uniform(0.01, 1.0);
+    }
+  }
+  return x;
+}
+
+void BM_LayerOneForwardDense(benchmark::State& state) {
+  const Matrix x = LayerOneInput(state.range(0));
+  Rng rng(10);
+  const Matrix w = Matrix::Gaussian(538, 200, &rng);
+  Matrix out;
+  for (auto _ : state) {
+    MatMulInto(x, w, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_LayerOneForwardSparse(benchmark::State& state) {
+  const SparseMatrix x = SparseMatrix::FromDense(LayerOneInput(state.range(0)));
+  Rng rng(10);
+  const Matrix w = Matrix::Gaussian(538, 200, &rng);
+  Matrix out;
+  for (auto _ : state) {
+    MatMulInto(x, w, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_LayerOneGradDense(benchmark::State& state) {
+  const Matrix x = LayerOneInput(state.range(0));
+  Rng rng(11);
+  const Matrix g = Matrix::Gaussian(3906, 200, &rng);
+  Matrix out;
+  for (auto _ : state) {
+    MatMulTransposedAInto(x, g, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_LayerOneGradSparse(benchmark::State& state) {
+  const SparseMatrix x = SparseMatrix::FromDense(LayerOneInput(state.range(0)));
+  Rng rng(11);
+  const Matrix g = Matrix::Gaussian(3906, 200, &rng);
+  Matrix out;
+  // Training reuses the memoized transpose every epoch; build it up front.
+  x.TransposedCached();
+  for (auto _ : state) {
+    MatMulTransposedAInto(x, g, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void LayerOneDensities(benchmark::internal::Benchmark* b) {
+  for (int64_t percent : {1, 2, 5, 10, 25, 67}) b->Arg(percent);
+}
+BENCHMARK(BM_LayerOneForwardDense)->Apply(LayerOneDensities);
+BENCHMARK(BM_LayerOneForwardSparse)->Apply(LayerOneDensities);
+BENCHMARK(BM_LayerOneGradDense)->Apply(LayerOneDensities);
+BENCHMARK(BM_LayerOneGradSparse)->Apply(LayerOneDensities);
+
 void BM_TopKRow(benchmark::State& state) {
   // Per-row top-k selection as used by TopKAnchors (k = 10 of n columns).
   const int64_t n = state.range(0);
@@ -161,10 +239,8 @@ void BM_GcnForward(benchmark::State& state) {
 }
 BENCHMARK(BM_GcnForward)->Arg(1000)->Arg(4000)->Arg(16000);
 
-void BM_TrainingEpoch(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  AttributedGraph g = BenchGraph(n, 8);
-  Rng rng(6);
+// One Train() call of one epoch on g aligned with itself.
+void TrainOneEpoch(benchmark::State& state, const AttributedGraph& g) {
   GAlignConfig cfg;
   cfg.epochs = 1;
   cfg.embedding_dim = 64;
@@ -177,7 +253,18 @@ void BM_TrainingEpoch(benchmark::State& state) {
     benchmark::DoNotOptimize(gcn.weights());
   }
 }
+
+void BM_TrainingEpoch(benchmark::State& state) {
+  TrainOneEpoch(state, BenchGraph(state.range(0), 8));
+}
 BENCHMARK(BM_TrainingEpoch)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
+
+// Douban-like attributes: 538 binary tags, about 5 per node, so layer 1's
+// input is sparse enough for the CSR path.
+void BM_TrainingEpochSparseTags(benchmark::State& state) {
+  TrainOneEpoch(state, BenchGraph(state.range(0), 8, 538, 5.0 / 538));
+}
+BENCHMARK(BM_TrainingEpochSparseTags)->Arg(2000)->Unit(benchmark::kMillisecond);
 
 void BM_StabilityScan(benchmark::State& state) {
   // The chunked scan of Alg. 2: O(n1 n2 d) time but O(n) extra space.

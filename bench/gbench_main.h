@@ -1,8 +1,9 @@
 // Shared google-benchmark main for the JSON-recorded benches
 // (bench_kernels, bench_ann): stamps the benchmark context with the
 // galign build flavor and the git SHA handed in by bench/run_all.sh, so
-// every recorded BENCH_*.json carries provenance — which tree produced it
-// and whether the library was compiled with optimizations. run_all.sh
+// every recorded BENCH_*.json carries provenance — which tree produced it,
+// whether the library was compiled with optimizations, and how many
+// threads the kernels' pool ran. run_all.sh
 // reads the galign_build_type stamp back and refuses to record JSON
 // snapshots from non-release builds (a debug-build perf snapshot would
 // poison the cross-PR perf trajectory).
@@ -16,6 +17,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+
+#include "common/parallel.h"
 
 namespace galign_bench {
 
@@ -46,6 +50,8 @@ inline const char* BuildType() {
     const char* galign_sha = std::getenv("GALIGN_GIT_SHA");               \
     benchmark::AddCustomContext("git_sha",                                \
                                 galign_sha ? galign_sha : "unknown");     \
+    benchmark::AddCustomContext(                                          \
+        "pool_threads", std::to_string(::galign::ParallelismLevel()));    \
     ::benchmark::Initialize(&argc, argv);                                 \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;   \
     ::benchmark::RunSpecifiedBenchmarks();                                \

@@ -140,8 +140,9 @@ run_tsan_stage() {
   # ThreadSanitizer. Scoped to the suites that exercise shared state —
   # RaceStress (pool, budget ledger, tracker gauge, cancel token, fault
   # registry), ParallelTest (parallel_for semantics), and the
-  # kernel-equivalence GEMM suites (tile-parallel kernels) — so the stage
-  # stays minutes, not hours, under TSan's ~10x slowdown.
+  # kernel-equivalence GEMM suites (tile-parallel kernels, and the
+  # row-parallel sparse-A product) — so the stage stays minutes, not hours,
+  # under TSan's ~10x slowdown.
   local tsan_dir="${repo_root}/build-tsan"
   cmake -B "${tsan_dir}" -S "${repo_root}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -153,7 +154,7 @@ run_tsan_stage() {
   echo "=== race gate (ThreadSanitizer) ==="
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
     ctest --test-dir "${tsan_dir}" --output-on-failure \
-    -R "RaceStress|ParallelTest|BlockedGemm|GemmSizes|OpsTest"
+    -R "RaceStress|ParallelTest|BlockedGemm|SparseGemm|GemmSizes|OpsTest"
 }
 
 run_serve_stage() {

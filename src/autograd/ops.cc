@@ -87,6 +87,22 @@ Var MatMul(Tape* t, const Matrix* a, Var b) {
       rg);
 }
 
+Var MatMul(Tape* t, const SparseMatrix* a, Var b) {
+  GALIGN_DCHECK(a != nullptr);
+  Matrix y;
+  MatMulInto(*a, t->value(b), &y);
+  bool rg = t->requires_grad(b);
+  return t->Emit(
+      std::move(y), {b},
+      [a, b](Tape* tp, Var self) {
+        if (tp->requires_grad(b)) {
+          MatMulTransposedAInto(*a, tp->grad(self), tp->EnsureGrad(b),
+                                /*accumulate=*/true);
+        }
+      },
+      rg);
+}
+
 Var SpMM(Tape* t, const SparseMatrix* sparse, Var x) {
   GALIGN_DCHECK(sparse != nullptr);
   Matrix y = sparse->Multiply(t->value(x));
@@ -158,14 +174,16 @@ Var Relu(Tape* t, Var x) {
 
 Var NormalizeRows(Tape* t, Var x, double eps) {
   const Matrix& xv = t->value(x);
-  Matrix y = xv;
+  Matrix y;
+  y.Resize(xv.rows(), xv.cols());
   std::vector<double> inv_norm(xv.rows());
   ForRanges(xv.rows(), xv.cols(), [&](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
       double n = xv.RowNorm(r);
       inv_norm[r] = 1.0 / std::max(n, eps);
+      const double* in = xv.row_data(r);
       double* row = y.row_data(r);
-      for (int64_t c = 0; c < xv.cols(); ++c) row[c] *= inv_norm[r];
+      for (int64_t c = 0; c < xv.cols(); ++c) row[c] = in[c] * inv_norm[r];
     }
   });
   bool rg = t->requires_grad(x);
@@ -175,7 +193,8 @@ Var NormalizeRows(Tape* t, Var x, double eps) {
         if (!tp->requires_grad(x)) return;
         const Matrix& y = tp->value(self);
         const Matrix& g = tp->grad(self);
-        Matrix dx(y.rows(), y.cols());
+        Matrix dx;
+        dx.Resize(y.rows(), y.cols());
         ForRanges(y.rows(), y.cols(), [&](int64_t r0, int64_t r1) {
           for (int64_t r = r0; r < r1; ++r) {
             const double* yr = y.row_data(r);
@@ -417,8 +436,11 @@ Var AdaptivityLoss(Tape* t, Var a, Var b,
         const double g = tp->grad(self)(0, 0);
         const Matrix& av = tp->value(a);
         const Matrix& bv = tp->value(b);
-        Matrix ga(av.rows(), av.cols());
-        Matrix gb(bv.rows(), bv.cols());
+        Matrix ga, gb;
+        ga.Resize(av.rows(), av.cols());
+        gb.Resize(bv.rows(), bv.cols());
+        ga.Fill(0.0);
+        gb.Fill(0.0);
         ForRanges(av.rows(), av.cols(), [&](int64_t v0, int64_t v1) {
           for (int64_t v = v0; v < v1; ++v) {
             if (dist[v] >= threshold || dist[v] < 1e-12) continue;

@@ -35,6 +35,11 @@ Var MatMul(Tape* t, Var a, Var b);
 /// (only db = a^T dc flows back). `a` must outlive the tape's Backward().
 Var MatMul(Tape* t, const Matrix* a, Var b);
 
+/// c = a * b with a constant CSR left operand, bit-identical to the dense
+/// form above on a.ToDense() (galign::MatMulInto's sparse overload). `a`
+/// must outlive the tape's Backward().
+Var MatMul(Tape* t, const SparseMatrix* a, Var b);
+
 /// y = sparse * x. `sparse` must outlive the tape's Backward() call.
 Var SpMM(Tape* t, const SparseMatrix* sparse, Var x);
 

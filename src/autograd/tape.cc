@@ -1,10 +1,18 @@
 #include "autograd/tape.h"
 
 #include "common/logging.h"
+#include "common/parallel.h"
 
 namespace galign {
 
 namespace {
+
+// Shapes `g` to rows x cols and zeroes it on the pool: a gradient buffer
+// that kernels accumulate into.
+void ZeroGrad(Matrix* g, int64_t rows, int64_t cols) {
+  g->Resize(rows, cols);
+  g->Fill(0.0);
+}
 
 // True when any entry differs from zero. NaN compares unequal, so a NaN
 // gradient counts as non-zero and keeps flowing to its parents. Exits at the
@@ -45,18 +53,27 @@ void Tape::AccumulateGrad(Var v, const Matrix& delta) {
 void Tape::AccumulateGrad(Var v, double alpha, const Matrix& delta) {
   Node& n = nodes_[v.id];
   if (!n.requires_grad) return;
-  if (n.grad.empty()) {
-    n.grad = Matrix(n.value.rows(), n.value.cols());
+  if (!n.grad.empty()) {
+    n.grad.Axpy(alpha, delta);
+    return;
   }
-  n.grad.Axpy(alpha, delta);
+  // First contribution: write the bits a zero-filled buffer plus Axpy
+  // gives, 0.0 + alpha * x, in one pass on the pool. Moving `delta` in would
+  // keep a -0.0 that the sum turns into +0.0.
+  GALIGN_DCHECK(delta.rows() == n.value.rows() &&
+                delta.cols() == n.value.cols());
+  n.grad.Resize(delta.rows(), delta.cols());
+  double* y = n.grad.data();
+  const double* x = delta.data();
+  ParallelFor(0, delta.size(), [y, x, alpha](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) y[i] = 0.0 + alpha * x[i];
+  });
 }
 
 Matrix* Tape::EnsureGrad(Var v) {
   Node& n = nodes_[v.id];
   GALIGN_DCHECK(n.requires_grad);
-  if (n.grad.empty()) {
-    n.grad = Matrix(n.value.rows(), n.value.cols());
-  }
+  if (n.grad.empty()) ZeroGrad(&n.grad, n.value.rows(), n.value.cols());
   return &n.grad;
 }
 
@@ -68,7 +85,7 @@ void Tape::Backward(Var root) {
   for (Node& n : nodes_) {
     if (!n.grad.empty()) n.grad.Fill(0.0);
   }
-  if (r.grad.empty()) r.grad = Matrix(1, 1);
+  if (r.grad.empty()) ZeroGrad(&r.grad, 1, 1);
   r.grad(0, 0) = 1.0;
   for (int32_t i = root.id; i >= 0; --i) {
     Node& n = nodes_[i];
@@ -81,7 +98,7 @@ void Tape::Backward(Var root) {
   // optimizers consume these by shape.
   for (Node& n : nodes_) {
     if (n.requires_grad && n.grad.empty()) {
-      n.grad = Matrix(n.value.rows(), n.value.cols());
+      ZeroGrad(&n.grad, n.value.rows(), n.value.cols());
     }
   }
 }

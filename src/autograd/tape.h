@@ -53,13 +53,16 @@ class Tape {
 
   /// Adds `delta` into v's gradient accumulator (used by op backward fns).
   void AccumulateGrad(Var v, const Matrix& delta);
-  /// Adds alpha * delta into v's gradient accumulator.
+  /// Adds alpha * delta into v's gradient accumulator. The first
+  /// contribution writes 0.0 + alpha * delta in one pass, the same bits as
+  /// adding it to a zero-filled buffer.
   void AccumulateGrad(Var v, double alpha, const Matrix& delta);
 
-  /// Returns v's gradient accumulator, allocating a zero matrix of v's
-  /// shape on first use. Lets backward fns accumulate straight into the
-  /// buffer via the kernels' `*Into(..., accumulate=true)` forms instead of
-  /// materializing a temporary and Axpy-ing it in. v must require grad.
+  /// Returns v's gradient accumulator, allocating a matrix of v's shape
+  /// zeroed on the thread pool on first use. Lets backward fns accumulate
+  /// straight into the buffer via the kernels' `*Into(..., accumulate=true)`
+  /// forms instead of materializing a temporary and Axpy-ing it in. v must
+  /// require grad.
   Matrix* EnsureGrad(Var v);
 
   /// Runs reverse-mode accumulation from `root`, which must hold a 1x1

@@ -5,6 +5,32 @@
 
 namespace galign {
 
+namespace {
+
+// True when fewer than `max_density` of m's entries are non-zero (NaN
+// counts as non-zero).
+bool SparserThan(const Matrix& m, double max_density) {
+  int64_t nonzero = 0;
+  for (int64_t i = 0; i < m.size(); ++i) nonzero += m.data()[i] != 0.0;
+  return static_cast<double>(nonzero) <
+         max_density * static_cast<double>(m.size());
+}
+
+}  // namespace
+
+LayerInput::LayerInput(Matrix dense)
+    : is_sparse_(SparserThan(dense, kMaxSparseDensity)) {
+  if (is_sparse_) {
+    csr_ = SparseMatrix::FromDense(dense);
+  } else {
+    dense_ = std::move(dense);
+  }
+}
+
+Var LayerInput::MatMul(Tape* tape, Var w) const {
+  return is_sparse_ ? ag::MatMul(tape, &csr_, w) : ag::MatMul(tape, &dense_, w);
+}
+
 MultiOrderGcn::MultiOrderGcn(int num_layers, int64_t input_dim,
                              int64_t embedding_dim, Rng* rng,
                              Activation activation)
@@ -61,15 +87,16 @@ std::vector<Var> MultiOrderGcn::ForwardWithWeights(
   return layers;
 }
 
-Matrix MultiOrderGcn::PropagatedInput(const SparseMatrix& laplacian,
-                                      const Matrix& features) {
+LayerInput MultiOrderGcn::PropagatedInput(const SparseMatrix& laplacian,
+                                          const Matrix& features) {
   Tape tape;
   Var h0 = ag::NormalizeRows(&tape, tape.Leaf(features, false));
-  return std::move(tape.mutable_value(ag::SpMM(&tape, &laplacian, h0)));
+  return LayerInput(
+      std::move(tape.mutable_value(ag::SpMM(&tape, &laplacian, h0))));
 }
 
 std::vector<Var> MultiOrderGcn::ForwardFromInput(
-    Tape* tape, const SparseMatrix* laplacian, const Matrix* input,
+    Tape* tape, const SparseMatrix* laplacian, const LayerInput* input,
     const std::vector<Var>& weight_vars) const {
   GALIGN_DCHECK(input != nullptr && input->cols() == input_dim_);
   std::vector<Var> layers;
@@ -80,14 +107,14 @@ std::vector<Var> MultiOrderGcn::ForwardFromInput(
 }
 
 void MultiOrderGcn::ForwardLayers(Tape* tape, const SparseMatrix* laplacian,
-                                  const Matrix* input,
+                                  const LayerInput* input,
                                   const std::vector<Var>& weight_vars,
                                   std::vector<Var>* layers) const {
   GALIGN_DCHECK(weight_vars.size() == weights_.size());
   Var h = layers->back();
   for (size_t l = 0; l < weights_.size(); ++l) {
     Var pre = l == 0 && input != nullptr
-                  ? ag::MatMul(tape, input, weight_vars[l])
+                  ? input->MatMul(tape, weight_vars[l])
                   : ag::MatMul(tape, ag::SpMM(tape, laplacian, h),
                                weight_vars[l]);
     Var act;

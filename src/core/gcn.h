@@ -21,6 +21,36 @@ namespace galign {
 /// kept for the activation ablation bench).
 enum class Activation { kTanh, kRelu, kLinear };
 
+/// \brief Layer 1's epoch-invariant input C·normalize(F) for one graph,
+/// held in CSR when that makes its product with W^(1) faster.
+///
+/// Tag attributes make it mostly zeros (Douban: 3.1-4.5% non-zero), and the
+/// sparse product skips them. Both forms give the same bits (DESIGN.md §6),
+/// so the choice, made from the measured density alone, only moves time.
+class LayerInput {
+ public:
+  /// Densities below this keep the CSR form: the crossover of the sparse
+  /// and dense products at Douban's layer-1 shape (bench_kernels
+  /// BM_LayerOne*).
+  static constexpr double kMaxSparseDensity = 0.25;
+
+  /// Takes C·normalize(F) and keeps it dense or converts it to CSR.
+  explicit LayerInput(Matrix dense);
+
+  int64_t cols() const { return is_sparse_ ? csr_.cols() : dense_.cols(); }
+  bool is_sparse() const { return is_sparse_; }
+
+  /// Records this * w on `tape` with this as a constant operand: not copied
+  /// onto the tape, and only dW = thisᵀ·G flows back. This must outlive the
+  /// tape's Backward().
+  Var MatMul(Tape* tape, Var w) const;
+
+ private:
+  bool is_sparse_;
+  Matrix dense_;      // empty when is_sparse_
+  SparseMatrix csr_;  // empty unless is_sparse_
+};
+
 /// \brief k-layer GCN with externally owned, shared weights.
 class MultiOrderGcn {
  public:
@@ -69,8 +99,8 @@ class MultiOrderGcn {
   /// it once and passes it to ForwardFromInput every epoch. It is computed
   /// by the same tape ops ForwardWithWeights records, so both forwards give
   /// bit-identical layers and gradients.
-  static Matrix PropagatedInput(const SparseMatrix& laplacian,
-                                const Matrix& features);
+  static LayerInput PropagatedInput(const SparseMatrix& laplacian,
+                                    const Matrix& features);
 
   /// \brief ForwardWithWeights from a precomputed PropagatedInput.
   ///
@@ -79,7 +109,7 @@ class MultiOrderGcn {
   /// ForwardWithWeights, except that index 0 is an invalid Var because
   /// H^(0) is not on the tape (the losses read layers 1..k only).
   std::vector<Var> ForwardFromInput(Tape* tape, const SparseMatrix* laplacian,
-                                    const Matrix* input,
+                                    const LayerInput* input,
                                     const std::vector<Var>& weight_vars) const;
 
   /// \brief Inference-only forward pass (no tape, no gradients).
@@ -93,7 +123,8 @@ class MultiOrderGcn {
   // Appends layers 1..k to `layers`, whose last entry is H^(0). Layer 1
   // multiplies `input` when it is non-null, else C times that last entry.
   void ForwardLayers(Tape* tape, const SparseMatrix* laplacian,
-                     const Matrix* input, const std::vector<Var>& weight_vars,
+                     const LayerInput* input,
+                     const std::vector<Var>& weight_vars,
                      std::vector<Var>* layers) const;
 
   int64_t input_dim_;

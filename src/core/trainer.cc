@@ -75,13 +75,14 @@ Status Trainer::Train(MultiOrderGcn* gcn, const AttributedGraph& source,
 
   // Layer 1's input C normalize(F) does not change across epochs for any of
   // the graphs: compute it once here and feed it to every epoch's forward as
-  // a constant operand (MultiOrderGcn::ForwardFromInput).
-  const Matrix input_s = MultiOrderGcn::PropagatedInput(lap_s,
-                                                        source.attributes());
-  const Matrix input_t = MultiOrderGcn::PropagatedInput(lap_t,
-                                                        target.attributes());
+  // a constant operand (MultiOrderGcn::ForwardFromInput), in CSR when it is
+  // sparse enough (LayerInput).
+  const LayerInput input_s =
+      MultiOrderGcn::PropagatedInput(lap_s, source.attributes());
+  const LayerInput input_t =
+      MultiOrderGcn::PropagatedInput(lap_t, target.attributes());
   auto propagated_inputs = [](const std::vector<AugmentedNetwork>& augs) {
-    std::vector<Matrix> inputs;
+    std::vector<LayerInput> inputs;
     inputs.reserve(augs.size());
     for (const AugmentedNetwork& a : augs) {
       inputs.push_back(MultiOrderGcn::PropagatedInput(a.laplacian,
@@ -89,8 +90,8 @@ Status Trainer::Train(MultiOrderGcn* gcn, const AttributedGraph& source,
     }
     return inputs;
   };
-  const std::vector<Matrix> aug_inputs_s = propagated_inputs(aug_s);
-  const std::vector<Matrix> aug_inputs_t = propagated_inputs(aug_t);
+  const std::vector<LayerInput> aug_inputs_s = propagated_inputs(aug_s);
+  const std::vector<LayerInput> aug_inputs_t = propagated_inputs(aug_t);
 
   AdamOptimizer adam({.lr = config_.learning_rate});
   std::vector<Matrix*> params;
@@ -192,7 +193,7 @@ Status Trainer::Train(MultiOrderGcn* gcn, const AttributedGraph& source,
 
   auto forward_augments =
       [&](Tape* tape, const std::vector<AugmentedNetwork>& augs,
-          const std::vector<Matrix>& inputs,
+          const std::vector<LayerInput>& inputs,
           const std::vector<Var>& weight_vars,
           std::vector<std::vector<Var>>* layer_sets,
           std::vector<const std::vector<int64_t>*>* correspondences) {

@@ -99,6 +99,10 @@ class AnnIndex {
   /// for serialization and behavioral fingerprinting (graph/ann/ann_io.h);
   /// immutable like the rest of the index.
   virtual const Matrix& base() const = 0;
+  /// The configuration the index was built from (as handed to
+  /// BuildAnnIndex, before the auto rules resolve), which its recipe
+  /// records.
+  virtual const AnnConfig& config() const = 0;
 
   /// \brief Per-row top-k of `queries` against the indexed base rows by
   /// inner product, descending per row, ties toward the smaller base index

@@ -49,8 +49,8 @@ uint32_t AnnIndexFingerprint(const AnnIndex& index) {
   return Crc32(bytes);
 }
 
-std::string SerializeAnnRecipe(const AnnIndex& index,
-                               const AnnConfig& config) {
+std::string SerializeAnnRecipe(const AnnIndex& index) {
+  const AnnConfig& config = index.config();
   std::ostringstream out;
   out << kRecipeMagic << "\n";
   out << "seed " << config.seed << "\n";

@@ -34,11 +34,11 @@ namespace galign {
 /// saved.
 uint32_t AnnIndexFingerprint(const AnnIndex& index);
 
-/// \brief Serializes the recipe (config + shape + fingerprint) of `index`
-/// built under `config`, in the `galign-ann-recipe-v2` layout. Text
-/// payload, no CRC trailer — the containing artifact is responsible for
-/// durability framing.
-std::string SerializeAnnRecipe(const AnnIndex& index, const AnnConfig& config);
+/// \brief Serializes the recipe (index.config() + shape + fingerprint) of
+/// `index` in the `galign-ann-recipe-v2` layout. Text payload, no CRC
+/// trailer — the containing artifact is responsible for durability
+/// framing.
+std::string SerializeAnnRecipe(const AnnIndex& index);
 
 /// \brief Rebuilds the index described by `payload` over `base` and
 /// verifies it.

@@ -81,10 +81,11 @@ inline double RowDot(const double* a, const double* b, int64_t d) {
 
 class LshIndex final : public AnnIndex {
  public:
-  LshIndex(Matrix base, Matrix planes, int64_t tables, int64_t bits,
-           int64_t probes, MemoryScope scope)
+  LshIndex(Matrix base, Matrix planes, const AnnConfig& config,
+           int64_t tables, int64_t bits, int64_t probes, MemoryScope scope)
       : base_(std::move(base)),
         planes_(std::move(planes)),
+        config_(config),
         tables_(tables),
         bits_(bits),
         probes_(probes),
@@ -96,6 +97,7 @@ class LshIndex final : public AnnIndex {
   int64_t dim() const override { return base_.cols(); }
   bool truncated() const override { return indexed_ < base_.rows(); }
   const Matrix& base() const override { return base_; }
+  const AnnConfig& config() const override { return config_; }
 
   uint64_t MemoryBytes() const override {
     uint64_t bytes = DenseBytes(base_.rows(), base_.cols()) +
@@ -150,6 +152,7 @@ class LshIndex final : public AnnIndex {
 
   Matrix base_;
   Matrix planes_;  // (tables * bits) x dim hyperplane normals
+  AnnConfig config_;
   int64_t tables_;
   int64_t bits_;
   int64_t probes_;
@@ -392,7 +395,7 @@ Result<std::unique_ptr<AnnIndex>> BuildAnnIndex(Matrix base,
   Matrix planes = Matrix::Gaussian(tables * bits, d, &rng);
 
   auto index = std::make_unique<LshIndex>(std::move(base), std::move(planes),
-                                          tables, bits, probes,
+                                          config, tables, bits, probes,
                                           std::move(scope));
   GALIGN_RETURN_NOT_OK(index->BuildTables(ctx));
   return Result<std::unique_ptr<AnnIndex>>(std::move(index));

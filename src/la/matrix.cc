@@ -1,6 +1,7 @@
 #include "la/matrix.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <new>
 #include <sstream>
@@ -85,7 +86,11 @@ void Matrix::Resize(int64_t rows, int64_t cols) {
   GALIGN_DCHECK(rows >= 0 && cols >= 0);
   rows_ = rows;
   cols_ = cols;
-  data_.resize(rows * cols);
+  const size_t n = static_cast<size_t>(rows * cols);
+  // Growing in place would copy the old entries into the new allocation;
+  // they are unspecified after the call, so release them first.
+  if (n > data_.capacity()) data_ = decltype(data_)();
+  data_.resize(n);
 }
 
 Result<double> Matrix::At(int64_t r, int64_t c) const {
@@ -114,7 +119,8 @@ Matrix Matrix::Block(int64_t r0, int64_t c0, int64_t nrows,
                      int64_t ncols) const {
   GALIGN_DCHECK(r0 >= 0 && c0 >= 0 && r0 + nrows <= rows_ &&
                 c0 + ncols <= cols_);
-  Matrix out(nrows, ncols);
+  Matrix out;
+  out.Resize(nrows, ncols);
   for (int64_t r = 0; r < nrows; ++r) {
     std::copy(row_data(r0 + r) + c0, row_data(r0 + r) + c0 + ncols,
               out.row_data(r));
@@ -122,11 +128,16 @@ Matrix Matrix::Block(int64_t r0, int64_t c0, int64_t nrows,
   return out;
 }
 
-void Matrix::Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
+// Fill, Scale and Axpy run on the thread pool: each entry gets one update, so
+// the result does not depend on how ParallelFor splits the range (small
+// ranges and calls from a busy pool run inline).
+void Matrix::Fill(double v) {
+  double* y = data_.data();
+  ParallelFor(0, size(), [y, v](int64_t i0, int64_t i1) {
+    std::fill(y + i0, y + i1, v);
+  });
+}
 
-// Scale and Axpy run on the thread pool: each entry gets one update, so the
-// result does not depend on how ParallelFor splits the range (small ranges
-// and calls from a busy pool run inline).
 void Matrix::Scale(double v) {
   double* y = data_.data();
   ParallelFor(0, size(), [y, v](int64_t i0, int64_t i1) {
@@ -176,10 +187,17 @@ double Matrix::RowNorm(int64_t r) const {
 }
 
 bool Matrix::AllFinite() const {
-  for (double v : data_) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
+  const double* p = data_.data();
+  std::atomic<bool> finite{true};
+  ParallelFor(0, size(), [p, &finite](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      if (!std::isfinite(p[i])) {
+        finite = false;
+        return;
+      }
+    }
+  });
+  return finite;
 }
 
 double Matrix::MaxAbsDiff(const Matrix& a, const Matrix& b) {

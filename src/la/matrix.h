@@ -5,7 +5,9 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/memory_budget.h"
@@ -76,13 +78,14 @@ class Matrix {
   Matrix Block(int64_t r0, int64_t c0, int64_t nrows, int64_t ncols) const;
 
   /// Reshapes to rows x cols without preserving contents. Reuses the
-  /// existing allocation when the total size already matches, so kernels
-  /// writing through `*Into(..., Matrix* out)` out-parameters avoid per-call
+  /// existing allocation when it is large enough, so kernels writing
+  /// through `*Into(..., Matrix* out)` out-parameters avoid per-call
   /// allocation churn. Entries are unspecified after the call unless the
-  /// caller overwrites them.
+  /// caller overwrites them: new storage is neither zero-filled nor copied
+  /// from the old allocation.
   void Resize(int64_t rows, int64_t cols);
 
-  /// Sets all entries to v.
+  /// Sets all entries to v, on the thread pool.
   void Fill(double v);
   /// In-place element-wise scale, on the thread pool.
   void Scale(double v);
@@ -102,7 +105,7 @@ class Matrix {
   /// Euclidean norm of row r.
   double RowNorm(int64_t r) const;
 
-  /// True iff every entry is finite.
+  /// True iff every entry is finite. Scans on the thread pool.
   bool AllFinite() const;
 
   /// Max |a - b| over entries; matrices must be the same shape.
@@ -115,11 +118,31 @@ class Matrix {
   std::string ToString(int max_rows = 8, int max_cols = 8) const;
 
  private:
+  // Tracked storage: every allocate/deallocate of Matrix payload reports to
+  // the process-wide MemoryTracker gauge (DESIGN.md §9). Growing it
+  // default-initializes the new entries, which for double writes nothing,
+  // so Resize costs no memset; constructors that pass a fill value still
+  // write it.
+  template <typename T>
+  struct DefaultInitAllocator : TrackingAllocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    using TrackingAllocator<T>::TrackingAllocator;
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+
   int64_t rows_;
   int64_t cols_;
-  // Tracked storage: every allocate/deallocate of Matrix payload reports to
-  // the process-wide MemoryTracker gauge (DESIGN.md §9).
-  std::vector<double, TrackingAllocator<double>> data_;
+  std::vector<double, DefaultInitAllocator<double>> data_;
 };
 
 }  // namespace galign

@@ -288,6 +288,99 @@ void GemmBlocked(GemmKind kind, const Matrix& a, const Matrix& b, Matrix* out,
       /*min_chunk=*/1);
 }
 
+// C = A * B for a CSR A, in GemmBlocked's operation order: inside each
+// kKc-wide panel of A's columns, every output element is one `acc += a * b`
+// chain over the row's stored columns ascending, started from zero, and the
+// panel sums are added to the output in panel order (the first one stored
+// unless accumulating). The dense chain also runs `acc += 0 * b` for every
+// unstored column; for finite b that adds a zero, which leaves acc unchanged
+// (it starts at +0, and +0 + -0 is +0), so skipping it changes no bit. A
+// panel with no stored entry sums to +0, which is still added, since
+// -0 + +0 is +0. Callers route a non-finite B to the dense kernel. Output
+// rows are split by stored-entry count and each is written by one task, so
+// the result does not depend on the split.
+void SparseGemm(const SparseMatrix& a, const Matrix& b, Matrix* out,
+                bool accumulate) {
+  GALIGN_DCHECK(a.cols() == b.rows());
+  GALIGN_DCHECK(out != &b);
+  const int64_t m = a.rows(), k = a.cols(), n = b.cols();
+  if (accumulate) {
+    GALIGN_DCHECK(out->rows() == m && out->cols() == n);
+  } else {
+    out->Resize(m, n);
+  }
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    if (!accumulate) out->Fill(0.0);
+    return;
+  }
+  const int64_t* rp = a.row_ptr().data();
+  const int64_t* ci = a.col_idx().data();
+  const double* av = a.values().data();
+  const std::vector<int64_t> bounds = a.RowBounds(ParallelismLevel() * 4);
+  ParallelFor(
+      0, static_cast<int64_t>(bounds.size()) - 1,
+      [&](int64_t c0, int64_t c1) {
+        std::vector<double> panel(static_cast<size_t>(n));
+        for (int64_t r = bounds[c0]; r < bounds[c1]; ++r) {
+          double* crow = out->row_data(r);
+          int64_t i = rp[r];
+          const int64_t e = rp[r + 1];
+          for (int64_t pc = 0; pc < k; pc += kKc) {
+            int64_t pe = i;
+            while (pe < e && ci[pe] < pc + kKc) ++pe;
+            const bool overwrite = !accumulate && pc == 0;
+            if (i == pe) {
+              if (overwrite) {
+                std::fill(crow, crow + n, 0.0);
+              } else {
+                for (int64_t j = 0; j < n; ++j) crow[j] += 0.0;
+              }
+              continue;
+            }
+            double* __restrict acc = overwrite ? crow : panel.data();
+            {
+              const double v = av[i];
+              const double* __restrict b0 = b.row_data(ci[i]);
+              for (int64_t j = 0; j < n; ++j) {
+                double s = 0.0;
+                s += v * b0[j];
+                acc[j] = s;
+              }
+              ++i;
+            }
+            // Four stored entries per pass over acc; each element's chain
+            // still adds them one at a time in column order.
+            for (; i + 4 <= pe; i += 4) {
+              const double v0 = av[i], v1 = av[i + 1];
+              const double v2 = av[i + 2], v3 = av[i + 3];
+              const double* __restrict b0 = b.row_data(ci[i]);
+              const double* __restrict b1 = b.row_data(ci[i + 1]);
+              const double* __restrict b2 = b.row_data(ci[i + 2]);
+              const double* __restrict b3 = b.row_data(ci[i + 3]);
+              for (int64_t j = 0; j < n; ++j) {
+                double s = acc[j];
+                s += v0 * b0[j];
+                s += v1 * b1[j];
+                s += v2 * b2[j];
+                s += v3 * b3[j];
+                acc[j] = s;
+              }
+            }
+            for (; i < pe; ++i) {
+              const double v = av[i];
+              const double* __restrict b0 = b.row_data(ci[i]);
+              for (int64_t j = 0; j < n; ++j) acc[j] += v * b0[j];
+            }
+            if (!overwrite) {
+              for (int64_t j = 0; j < n; ++j) crow[j] += acc[j];
+            }
+          }
+        }
+      },
+      /*min_chunk=*/1);
+}
+
 }  // namespace
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -321,6 +414,25 @@ void MatMulTransposedBInto(const Matrix& a, const Matrix& b, Matrix* out,
 void MatMulTransposedAInto(const Matrix& a, const Matrix& b, Matrix* out,
                            bool accumulate) {
   GemmBlocked(GemmKind::kTN, a, b, out, accumulate);
+}
+
+void MatMulInto(const SparseMatrix& a, const Matrix& b, Matrix* out,
+                bool accumulate) {
+  if (!b.AllFinite()) {
+    MatMulInto(a.ToDense(), b, out, accumulate);
+    return;
+  }
+  SparseGemm(a, b, out, accumulate);
+}
+
+void MatMulTransposedAInto(const SparseMatrix& a, const Matrix& b, Matrix* out,
+                           bool accumulate) {
+  GALIGN_DCHECK(a.rows() == b.rows());
+  if (!b.AllFinite()) {
+    MatMulTransposedAInto(a.ToDense(), b, out, accumulate);
+    return;
+  }
+  SparseGemm(*a.TransposedCached(), b, out, accumulate);
 }
 
 Matrix Transpose(const Matrix& a) {

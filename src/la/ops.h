@@ -17,6 +17,11 @@
 // the accumulate forms to add straight into gradient buffers. The
 // allocating forms are thin wrappers. Naive reference kernels are retained
 // in `reference::` for equivalence tests and before/after benchmarks.
+//
+// MatMulInto and MatMulTransposedAInto also take a CSR left operand. They
+// run the blocked GEMM's operation order over the stored entries only, so
+// for a finite dense operand they equal the dense kernels on A.ToDense() bit
+// for bit while skipping the zero products (DESIGN.md §6).
 #pragma once
 
 #include <cstdint>
@@ -24,6 +29,7 @@
 #include <vector>
 
 #include "la/matrix.h"
+#include "la/sparse.h"
 
 namespace galign {
 
@@ -47,6 +53,20 @@ void MatMulTransposedBInto(const Matrix& a, const Matrix& b, Matrix* out,
 
 /// out = A^T * B (out += when accumulate). Same aliasing/shape contract.
 void MatMulTransposedAInto(const Matrix& a, const Matrix& b, Matrix* out,
+                           bool accumulate = false);
+
+/// out = A * B for a CSR A (out += when accumulate), bit-identical to
+/// MatMulInto(a.ToDense(), b, out, accumulate) apart from the sign of a zero
+/// produced by underflow. When b holds NaN or Inf it runs that dense kernel,
+/// so non-finite values spread exactly as there (0 * Inf is NaN). Same
+/// aliasing/shape contract as the dense form.
+void MatMulInto(const SparseMatrix& a, const Matrix& b, Matrix* out,
+                bool accumulate = false);
+
+/// out = A^T * B for a CSR A (out += when accumulate), through
+/// a.TransposedCached(); bit-identical to MatMulTransposedAInto(a.ToDense(),
+/// b, out, accumulate) under the same terms as the form above.
+void MatMulTransposedAInto(const SparseMatrix& a, const Matrix& b, Matrix* out,
                            bool accumulate = false);
 
 /// Out-of-place transpose.

@@ -128,6 +128,24 @@ Result<SparseMatrix> SparseMatrix::TryCreate(int64_t rows, int64_t cols,
   }
 }
 
+SparseMatrix SparseMatrix::FromDense(const Matrix& dense) {
+  SparseMatrix m;
+  m.rows_ = dense.rows();
+  m.cols_ = dense.cols();
+  m.row_ptr_.assign(m.rows_ + 1, 0);
+  for (int64_t r = 0; r < m.rows_; ++r) {
+    const double* row = dense.row_data(r);
+    for (int64_t c = 0; c < m.cols_; ++c) {
+      if (row[c] != 0.0) {
+        m.col_idx_.push_back(c);
+        m.values_.push_back(row[c]);
+      }
+    }
+    m.row_ptr_[r + 1] = m.nnz();
+  }
+  return m;
+}
+
 SparseMatrix SparseMatrix::Identity(int64_t n) {
   std::vector<Triplet> t;
   t.reserve(n);
@@ -189,6 +207,19 @@ std::shared_ptr<const SparseMatrix> SparseMatrix::TransposedCached() const {
   return transpose_cache_;
 }
 
+std::vector<int64_t> SparseMatrix::RowBounds(int64_t chunks) const {
+  chunks = std::max<int64_t>(1, std::min<int64_t>(rows_, chunks));
+  std::vector<int64_t> bounds(chunks + 1, rows_);
+  bounds[0] = 0;
+  for (int64_t c = 1; c < chunks; ++c) {
+    const int64_t target = nnz() * c / chunks;
+    const auto it =
+        std::lower_bound(row_ptr_.begin(), row_ptr_.end() - 1, target);
+    bounds[c] = std::max<int64_t>(it - row_ptr_.begin(), bounds[c - 1]);
+  }
+  return bounds;
+}
+
 void SparseMatrix::ScaleRow(int64_t r, double s) {
   InvalidateTransposeCache();
   for (int64_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) values_[i] *= s;
@@ -211,23 +242,11 @@ void SparseMatrix::MultiplyInto(const Matrix& dense, Matrix* out,
     out->Resize(rows_, d);
   }
   if (rows_ == 0 || d == 0) return;
-  // nnz-balanced row partition: chunk c covers rows [bounds[c], bounds[c+1])
-  // holding ~nnz/chunks stored entries each, so one hub row of a power-law
-  // graph cannot serialize the whole multiply. The partition depends only on
-  // the matrix (not on scheduling), and each output row is written by
-  // exactly one task in stored order — results are bitwise deterministic.
-  const int64_t max_chunks =
-      std::max<int64_t>(1, std::min<int64_t>(rows_, ParallelismLevel() * 4));
-  std::vector<int64_t> bounds(max_chunks + 1, rows_);
-  bounds[0] = 0;
-  for (int64_t c = 1; c < max_chunks; ++c) {
-    const int64_t target = nnz() * c / max_chunks;
-    const auto it =
-        std::lower_bound(row_ptr_.begin(), row_ptr_.end() - 1, target);
-    bounds[c] = std::max<int64_t>(it - row_ptr_.begin(), bounds[c - 1]);
-  }
+  // Each output row is written by exactly one task in stored order, so
+  // results are bitwise deterministic.
+  const std::vector<int64_t> bounds = RowBounds(ParallelismLevel() * 4);
   ParallelFor(
-      0, max_chunks,
+      0, static_cast<int64_t>(bounds.size()) - 1,
       [&](int64_t c0, int64_t c1) {
         for (int64_t chunk = c0; chunk < c1; ++chunk) {
           for (int64_t r = bounds[chunk]; r < bounds[chunk + 1]; ++r) {

@@ -55,6 +55,9 @@ class SparseMatrix {
                                         std::vector<Triplet> triplets,
                                         MemoryBudget* budget = nullptr);
 
+  /// CSR copy of the non-zero entries of `dense` (NaN counts as non-zero).
+  static SparseMatrix FromDense(const Matrix& dense);
+
   /// Sparse identity.
   static SparseMatrix Identity(int64_t n);
 
@@ -89,6 +92,14 @@ class SparseMatrix {
   /// (TransposedMultiply uses this). Invalidated by ScaleRow /
   /// mutable_values. Thread-safe.
   std::shared_ptr<const SparseMatrix> TransposedCached() const;
+
+  /// Row partition for `chunks` tasks balanced by stored-entry count: chunk
+  /// c covers rows [b[c], b[c+1]) of the returned b (chunks + 1 entries,
+  /// clamped to at least one chunk and at most one per row). It depends on
+  /// the structure only, so one hub row of a power-law graph cannot
+  /// serialize a row-parallel kernel, and results do not depend on
+  /// scheduling.
+  std::vector<int64_t> RowBounds(int64_t chunks) const;
 
   /// Multiplies all stored values in row r by s.
   void ScaleRow(int64_t r, double s);

@@ -123,7 +123,6 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndex::Build(
   auto base = ConcatLayerRows(out->target_layers_, nullptr, ctx.budget());
   GALIGN_RETURN_NOT_OK(base.status());
 
-  out->ann_config_ = options.ann;
   auto ann = BuildAnnIndex(std::move(base.ValueOrDie()), options.ann, ctx);
   GALIGN_RETURN_NOT_OK(ann.status());
   out->ann_ = std::move(ann.ValueOrDie());
@@ -167,7 +166,7 @@ std::string AlignmentIndex::Serialize() const {
   EmitRawSection(&out, "model", SerializeGcnModel(*gcn_));
   EmitMatrixList(&out, "source_layers", source_layers_);
   EmitMatrixList(&out, "target_layers", target_layers_);
-  EmitRawSection(&out, "ann", SerializeAnnRecipe(*ann_, ann_config_));
+  EmitRawSection(&out, "ann", SerializeAnnRecipe(*ann_));
   out << "anchors " << anchors_.rows << " " << anchors_.cols << " "
       << anchors_.k << " " << anchors_.rows_computed << "\n";
   for (size_t i = 0; i < anchors_.index.size(); ++i) {
@@ -228,6 +227,20 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndex::Parse(
         std::to_string(theta_count) + ", source " +
         std::to_string(out->source_layers_.size()) + ", target " +
         std::to_string(out->target_layers_.size()));
+  }
+  // Queries name a source row and are answered with target rows, so an
+  // artifact without rows on either side has nothing to serve (and swap
+  // validation spot-checks source rows).
+  const std::pair<const char*, const std::vector<Matrix>*> sides[] = {
+      {"source_layers", &out->source_layers_},
+      {"target_layers", &out->target_layers_}};
+  for (const auto& [key, layers] : sides) {
+    for (const Matrix& m : *layers) {
+      if (m.rows() == 0) {
+        return Status::IOError("'" + std::string(key) +
+                               "' section has zero rows in " + context);
+      }
+    }
   }
 
   std::string ann_payload;

@@ -72,7 +72,9 @@ class AlignmentIndex {
   /// for source node v.
   const Matrix& queries() const { return queries_; }
   const AnnIndex& ann() const { return *ann_; }
-  const AnnConfig& ann_config() const { return ann_config_; }
+  /// The configuration ann() was built from (a loaded artifact's is the
+  /// one its recipe recorded).
+  const AnnConfig& ann_config() const { return ann_->config(); }
   /// Behavioral fingerprint of ann(): CRC32 over the answers to a fixed
   /// probe batch, recorded at Build and recomputed at Parse. Quarantine
   /// validation (serve/swap) replays the probes against this value to prove
@@ -103,7 +105,6 @@ class AlignmentIndex {
   std::vector<Matrix> source_layers_;
   std::vector<Matrix> target_layers_;
   Matrix queries_;
-  AnnConfig ann_config_;
   std::unique_ptr<AnnIndex> ann_;
   TopKAlignment anchors_;
 };

@@ -284,7 +284,7 @@ class AnnRecipeTest : public ::testing::Test {
     auto index = BuildAnnIndex(base_, AnnConfig(), RunContext());
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     index_ = index.MoveValueOrDie();
-    recipe_ = SerializeAnnRecipe(*index_, AnnConfig());
+    recipe_ = SerializeAnnRecipe(*index_);
   }
 
   const Matrix base_ = UnitRows(64, 8, 61);
@@ -337,7 +337,7 @@ TEST_F(AnnRecipeTest, TableCountOutsideBoundIsTypedIOError) {
     cfg.lsh_tables = tables;
     auto edge = BuildAnnIndex(base_, cfg, RunContext());
     ASSERT_TRUE(edge.ok()) << edge.status().ToString();
-    auto r = RebuildAnnIndex(SerializeAnnRecipe(*edge.ValueOrDie(), cfg), base_,
+    auto r = RebuildAnnIndex(SerializeAnnRecipe(*edge.ValueOrDie()), base_,
                              RunContext(), "recipe at the bound");
     EXPECT_TRUE(r.ok()) << tables << ": " << r.status().ToString();
   }

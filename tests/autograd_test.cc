@@ -7,6 +7,7 @@
 
 #include "autograd/ops.h"
 #include "autograd/tape.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "la/ops.h"
 
@@ -123,6 +124,52 @@ TEST(TapeTest, NanGradientIsNotSkippedAsZero) {
   EXPECT_FALSE(t.grad(x).AllFinite());
 }
 
+// A gradient's first contribution is written in one pass instead of added
+// to a zero-filled buffer. It must give the bits the zero-fill plus Axpy
+// gave, including +0.0 for a -0.0 contribution (0.0 + -0.0 is +0.0) and a
+// NaN, and the same bits again when called from a pool task, where the
+// pass runs inline.
+TEST(TapeTest, FirstGradientWriteMatchesZeroFillPlusAxpy) {
+  Rng rng(8);
+  Matrix first = Matrix::Gaussian(300, 50, &rng);
+  Matrix second = Matrix::Gaussian(300, 50, &rng);
+  for (int64_t i = 0; i < first.size(); i += 7) first.data()[i] = -0.0;
+  for (int64_t i = 3; i < first.size(); i += 11) first.data()[i] = 0.0;
+  first(5, 5) = std::numeric_limits<double>::quiet_NaN();
+  second(9, 1) = -0.0;
+  for (double alpha : {1.0, -0.75}) {
+    Matrix want(300, 50);
+    want.Axpy(alpha, first);
+    const Matrix want_first = want;
+    want.Axpy(1.0, second);
+    auto accumulate = [&](Matrix* after_first, Matrix* after_second) {
+      Tape t;
+      Var x = t.Leaf(Matrix(300, 50, 1.0), /*requires_grad=*/true);
+      t.AccumulateGrad(x, alpha, first);
+      *after_first = t.grad(x);
+      t.AccumulateGrad(x, second);
+      *after_second = t.grad(x);
+    };
+    Matrix got_first, got, inline_first, inline_got;
+    accumulate(&got_first, &got);
+    ParallelFor(
+        0, 2,
+        [&](int64_t i0, int64_t) {
+          if (i0 == 0) accumulate(&inline_first, &inline_got);
+        },
+        /*min_chunk=*/1);
+    const size_t bytes = want.size() * sizeof(double);
+    EXPECT_EQ(std::memcmp(got_first.data(), want_first.data(), bytes), 0)
+        << alpha;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), bytes), 0) << alpha;
+    EXPECT_EQ(std::memcmp(inline_first.data(), want_first.data(), bytes), 0)
+        << alpha;
+    EXPECT_EQ(std::memcmp(inline_got.data(), want.data(), bytes), 0) << alpha;
+    EXPECT_FALSE(std::signbit(got_first(0, 0))) << "-0.0 contribution";
+    EXPECT_TRUE(std::isnan(got(5, 5)));
+  }
+}
+
 TEST(GradCheck, MatMulConstantLeft) {
   Rng rng(3);
   Matrix a = Matrix::Gaussian(4, 3, &rng);
@@ -133,27 +180,43 @@ TEST(GradCheck, MatMulConstantLeft) {
 }
 
 TEST(MatMulConstantLeftTest, MatchesLeafOperandBitForBit) {
-  // The constant-operand form must give the same value and right-operand
-  // gradient as multiplying by a no-grad leaf, without copying `a` onto the
-  // tape.
+  // The constant-operand forms, dense and CSR, must give the same value and
+  // right-operand gradient as multiplying by a no-grad leaf, without copying
+  // `a` onto the tape. The second operand is 90% zeros and 270 columns
+  // wide, so the CSR product skips entries and crosses a 256-wide k-panel.
   Rng rng(4);
-  const Matrix a = Matrix::Gaussian(37, 29, &rng);
-  const Matrix w = Matrix::Gaussian(29, 11, &rng);
-  Tape t1;
-  Var w1 = t1.Leaf(w, true);
-  Var y1 = ag::MatMul(&t1, t1.Leaf(a, false), w1);
-  t1.Backward(ProjectToScalar(&t1, y1));
-  Tape t2;
-  Var w2 = t2.Leaf(w, true);
-  Var y2 = ag::MatMul(&t2, &a, w2);
-  t2.Backward(ProjectToScalar(&t2, y2));
-  EXPECT_EQ(t2.size(), t1.size() - 1);
+  Matrix dense_a = Matrix::Gaussian(37, 29, &rng);
+  Matrix dense_w = Matrix::Gaussian(29, 11, &rng);
+  Matrix sparse_a(300, 270);
+  for (int64_t i = 0; i < sparse_a.size(); ++i) {
+    if (rng.Uniform() < 0.1) sparse_a.data()[i] = rng.Normal();
+  }
+  Matrix sparse_w = Matrix::Gaussian(270, 11, &rng);
   const auto same_bits = [](const Matrix& p, const Matrix& q) {
     return p.SameShape(q) &&
            std::memcmp(p.data(), q.data(), p.size() * sizeof(double)) == 0;
   };
-  EXPECT_TRUE(same_bits(t2.value(y2), t1.value(y1)));
-  EXPECT_TRUE(same_bits(t2.grad(w2), t1.grad(w1)));
+  for (const auto& [a, w] : {std::pair{&dense_a, &dense_w},
+                             std::pair{&sparse_a, &sparse_w}}) {
+    Tape t1;
+    Var w1 = t1.Leaf(*w, true);
+    Var y1 = ag::MatMul(&t1, t1.Leaf(*a, false), w1);
+    t1.Backward(ProjectToScalar(&t1, y1));
+    Tape t2;
+    Var w2 = t2.Leaf(*w, true);
+    Var y2 = ag::MatMul(&t2, a, w2);
+    t2.Backward(ProjectToScalar(&t2, y2));
+    EXPECT_EQ(t2.size(), t1.size() - 1);
+    EXPECT_TRUE(same_bits(t2.value(y2), t1.value(y1)));
+    EXPECT_TRUE(same_bits(t2.grad(w2), t1.grad(w1)));
+    const SparseMatrix csr = SparseMatrix::FromDense(*a);
+    Tape t3;
+    Var w3 = t3.Leaf(*w, true);
+    Var y3 = ag::MatMul(&t3, &csr, w3);
+    t3.Backward(ProjectToScalar(&t3, y3));
+    EXPECT_TRUE(same_bits(t3.value(y3), t1.value(y1)));
+    EXPECT_TRUE(same_bits(t3.grad(w3), t1.grad(w1)));
+  }
 }
 
 TEST(GradCheck, MatMulLeft) {

@@ -234,72 +234,92 @@ TEST(GcnTest, WeightSharingAcrossGraphsOnOneTape) {
   EXPECT_GT(tape.grad(wv[0]).MaxAbs(), 0.0);
 }
 
+// Real-valued tags: `per_row` random columns of each of n rows hold an
+// N(0, 1) value, the rest are zero.
+Matrix SparseTags(int64_t n, int64_t cols, int per_row, Rng* rng) {
+  Matrix f(n, cols);
+  for (int64_t r = 0; r < n; ++r) {
+    for (int t = 0; t < per_row; ++t) f(r, rng->UniformInt(cols)) = rng->Normal();
+  }
+  return f;
+}
+
 TEST(GcnTest, ForwardFromInputMatchesForwardWithWeightsBitForBit) {
   // The trainer feeds layer 1 a precomputed constant C normalize(F). One
   // epoch through it (a graph plus two augmented copies, the full Eq. 10
   // loss) must reproduce every layer value, the loss and every weight
-  // gradient of the ForwardWithWeights path bit for bit.
+  // gradient of the ForwardWithWeights path bit for bit, whether the input
+  // stays dense or, for sparse tags, takes the CSR path.
   // Real-valued attributes: with 0/1 rows, scaling by 1/||x|| and dividing
   // by ||x|| round alike, and the check could not see a changed
-  // normalization.
+  // normalization. The sparse tags span 300 columns, so layer 1's product
+  // crosses a 256-wide k-panel.
   Rng rng(22);
-  AttributedGraph g = RandomGraph(21, 80)
-                          .WithAttributes(Matrix::Gaussian(80, 8, &rng))
-                          .MoveValueOrDie();
-  GAlignConfig cfg;
-  cfg.num_augmentations = 2;
-  auto augs = MakeAugmentations(g, cfg, &rng).MoveValueOrDie();
-  MultiOrderGcn gcn(2, 8, 12, &rng);
-  const SparseMatrix lap = g.NormalizedAdjacency().MoveValueOrDie();
-  std::vector<Matrix> inputs{
-      MultiOrderGcn::PropagatedInput(lap, g.attributes())};
-  for (const AugmentedNetwork& a : augs) {
-    inputs.push_back(
-        MultiOrderGcn::PropagatedInput(a.laplacian, a.graph.attributes()));
-  }
-
-  auto epoch = [&](bool from_input) {
-    Tape tape;
-    const std::vector<Var> wv = gcn.MakeWeightLeaves(&tape);
-    auto forward = [&](const SparseMatrix* l, const Matrix& features,
-                       const Matrix* input) {
-      return from_input ? gcn.ForwardFromInput(&tape, l, input, wv)
-                        : gcn.ForwardWithWeights(&tape, l, features, wv);
-    };
-    const std::vector<Var> hs = forward(&lap, g.attributes(), &inputs[0]);
-    EXPECT_EQ(hs[0].valid(), !from_input);
-    std::vector<std::vector<Var>> aug_layers;
-    std::vector<const std::vector<int64_t>*> corr;
-    for (size_t i = 0; i < augs.size(); ++i) {
-      aug_layers.push_back(forward(&augs[i].laplacian,
-                                   augs[i].graph.attributes(),
-                                   &inputs[i + 1]));
-      corr.push_back(&augs[i].correspondence);
+  const Matrix dense_features = Matrix::Gaussian(80, 8, &rng);
+  const Matrix tag_features = SparseTags(80, 300, 2, &rng);
+  for (const Matrix* features : {&dense_features, &tag_features}) {
+    const bool sparse = features == &tag_features;
+    SCOPED_TRACE(sparse ? "sparse tags" : "dense attributes");
+    AttributedGraph g =
+        RandomGraph(21, 80).WithAttributes(*features).MoveValueOrDie();
+    GAlignConfig cfg;
+    cfg.num_augmentations = 2;
+    auto augs = MakeAugmentations(g, cfg, &rng).MoveValueOrDie();
+    MultiOrderGcn gcn(2, features->cols(), 12, &rng);
+    const SparseMatrix lap = g.NormalizedAdjacency().MoveValueOrDie();
+    std::vector<LayerInput> inputs;
+    inputs.push_back(MultiOrderGcn::PropagatedInput(lap, g.attributes()));
+    for (const AugmentedNetwork& a : augs) {
+      inputs.push_back(
+          MultiOrderGcn::PropagatedInput(a.laplacian, a.graph.attributes()));
     }
-    Var loss = NetworkLoss(&tape, &lap, hs, aug_layers, corr, cfg);
-    tape.Backward(loss);
-    std::vector<Matrix> out{tape.value(loss)};
-    for (size_t l = 1; l < hs.size(); ++l) out.push_back(tape.value(hs[l]));
-    for (const auto& layers : aug_layers) {
-      for (size_t l = 1; l < layers.size(); ++l) {
-        out.push_back(tape.value(layers[l]));
+    for (const LayerInput& input : inputs) {
+      EXPECT_EQ(input.is_sparse(), sparse);
+    }
+
+    auto epoch = [&](bool from_input) {
+      Tape tape;
+      const std::vector<Var> wv = gcn.MakeWeightLeaves(&tape);
+      auto forward = [&](const SparseMatrix* l, const Matrix& f,
+                         const LayerInput* input) {
+        return from_input ? gcn.ForwardFromInput(&tape, l, input, wv)
+                          : gcn.ForwardWithWeights(&tape, l, f, wv);
+      };
+      const std::vector<Var> hs = forward(&lap, g.attributes(), &inputs[0]);
+      EXPECT_EQ(hs[0].valid(), !from_input);
+      std::vector<std::vector<Var>> aug_layers;
+      std::vector<const std::vector<int64_t>*> corr;
+      for (size_t i = 0; i < augs.size(); ++i) {
+        aug_layers.push_back(forward(&augs[i].laplacian,
+                                     augs[i].graph.attributes(),
+                                     &inputs[i + 1]));
+        corr.push_back(&augs[i].correspondence);
       }
-    }
-    for (Var w : wv) out.push_back(tape.grad(w));
-    return out;
-  };
+      Var loss = NetworkLoss(&tape, &lap, hs, aug_layers, corr, cfg);
+      tape.Backward(loss);
+      std::vector<Matrix> out{tape.value(loss)};
+      for (size_t l = 1; l < hs.size(); ++l) out.push_back(tape.value(hs[l]));
+      for (const auto& layers : aug_layers) {
+        for (size_t l = 1; l < layers.size(); ++l) {
+          out.push_back(tape.value(layers[l]));
+        }
+      }
+      for (Var w : wv) out.push_back(tape.grad(w));
+      return out;
+    };
 
-  const std::vector<Matrix> full = epoch(/*from_input=*/false);
-  const std::vector<Matrix> hoisted = epoch(/*from_input=*/true);
-  ASSERT_EQ(full.size(), hoisted.size());
-  for (size_t i = 0; i < full.size(); ++i) {
-    ASSERT_TRUE(full[i].SameShape(hoisted[i])) << "output " << i;
-    EXPECT_EQ(std::memcmp(full[i].data(), hoisted[i].data(),
-                          full[i].size() * sizeof(double)),
-              0)
-        << "output " << i;
+    const std::vector<Matrix> full = epoch(/*from_input=*/false);
+    const std::vector<Matrix> hoisted = epoch(/*from_input=*/true);
+    ASSERT_EQ(full.size(), hoisted.size());
+    for (size_t i = 0; i < full.size(); ++i) {
+      ASSERT_TRUE(full[i].SameShape(hoisted[i])) << "output " << i;
+      EXPECT_EQ(std::memcmp(full[i].data(), hoisted[i].data(),
+                            full[i].size() * sizeof(double)),
+                0)
+          << "output " << i;
+    }
+    EXPECT_GT(full.back().MaxAbs(), 0.0);
   }
-  EXPECT_GT(full.back().MaxAbs(), 0.0);
 }
 
 }  // namespace

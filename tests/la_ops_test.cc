@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "la/sparse.h"
 
 namespace galign {
 namespace {
@@ -218,6 +221,128 @@ TEST(BlockedGemmTest, BitIdenticalToPanelOrderReference) {
     EXPECT_TRUE(BitIdentical(acc, PanelOrderMatMul(a, b, &base)))
         << "MatMulInto accumulate " << m << "x" << k << "x" << n;
   }
+}
+
+// Runs f on a pool task, where a nested ParallelFor runs its whole range
+// inline: a kernel must give the same bits there as from outside the pool.
+template <typename F>
+void RunInsidePoolTask(const F& f) {
+  ParallelFor(
+      0, 2,
+      [&](int64_t i0, int64_t) {
+        if (i0 == 0) f();
+      },
+      /*min_chunk=*/1);
+}
+
+// An m x k operand with about `density` of its entries N(0, 1) and the rest
+// zero, plus the structure the sparse product must handle: an empty first
+// row, an empty last column, and, in every other row, an empty second
+// k-panel (columns 256-511).
+Matrix SparseOperand(int64_t m, int64_t k, double density, Rng* rng) {
+  Matrix a(m, k);
+  for (int64_t i = 1; i < m; ++i) {
+    for (int64_t p = 0; p + 1 < k; ++p) {
+      if (i % 2 == 1 && p >= 256 && p < 512) continue;
+      if (rng->Uniform() < density) a(i, p) = rng->Normal();
+    }
+  }
+  return a;
+}
+
+// The sparse-A products must reproduce the dense kernels' panel order bit
+// for bit in both forms, overwriting and accumulating, on shapes on both
+// sides of the 256-wide k-panel edges. The accumulate base holds -0.0
+// entries, which adding a +0 panel sum turns into +0.0.
+TEST(SparseGemmTest, BitIdenticalToPanelOrderReference) {
+  const std::vector<std::tuple<int64_t, int64_t, int64_t>> shapes = {
+      {1, 1, 1},    {7, 255, 23}, {9, 256, 25},  {12, 257, 8},
+      {33, 538, 200}, {40, 800, 17}, {5, 1100, 3}, {6, 0, 4}};
+  for (const auto& [m, k, n] : shapes) {
+    for (double density : {0.02, 0.3, 1.0}) {
+      SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n
+                                        << " density " << density);
+      Rng rng(4000 + m * 31 + k * 7 + n);
+      const Matrix a = SparseOperand(m, k, density, &rng);
+      const Matrix b = Matrix::Gaussian(k, n, &rng);
+      Matrix base = Matrix::Gaussian(m, n, &rng);
+      for (int64_t i = 0; i < base.size(); i += 3) base.data()[i] = -0.0;
+      const SparseMatrix csr = SparseMatrix::FromDense(a);
+      const SparseMatrix csr_t = SparseMatrix::FromDense(Transpose(a));
+      const Matrix want = PanelOrderMatMul(a, b);
+      const Matrix want_acc = PanelOrderMatMul(a, b, &base);
+
+      Matrix got(3, 3, 7.0);  // reshaped and overwritten
+      MatMulInto(csr, b, &got);
+      EXPECT_TRUE(BitIdentical(got, want)) << "A * B";
+      Matrix acc = base;
+      MatMulInto(csr, b, &acc, /*accumulate=*/true);
+      EXPECT_TRUE(BitIdentical(acc, want_acc)) << "A * B accumulate";
+      MatMulTransposedAInto(csr_t, b, &got);
+      EXPECT_TRUE(BitIdentical(got, want)) << "A^T * B";
+      acc = base;
+      MatMulTransposedAInto(csr_t, b, &acc, /*accumulate=*/true);
+      EXPECT_TRUE(BitIdentical(acc, want_acc)) << "A^T * B accumulate";
+    }
+  }
+}
+
+// A NaN or Inf in the dense operand reaches outputs through zero entries of
+// A too (0 * Inf is NaN), so the sparse products must then equal the dense
+// kernels, including in a row where A is all zero.
+TEST(SparseGemmTest, NonFiniteDenseOperandMatchesDenseKernel) {
+  Rng rng(77);
+  const Matrix a = SparseOperand(20, 300, 0.05, &rng);  // row 0 is all zero
+  const Matrix at = Transpose(a);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    Matrix b = Matrix::Gaussian(300, 9, &rng);
+    b(17, 4) = bad;
+    b(299, 0) = -bad;
+    Matrix got;
+    MatMulInto(SparseMatrix::FromDense(a), b, &got);
+    const Matrix want = MatMul(a, b);
+    EXPECT_TRUE(BitIdentical(got, want)) << bad;
+    EXPECT_TRUE(std::isnan(got(0, 4))) << "all-zero row of A, " << bad;
+    MatMulTransposedAInto(SparseMatrix::FromDense(at), b, &got);
+    EXPECT_TRUE(BitIdentical(got, MatMulTransposedA(at, b))) << bad;
+    Matrix acc = Matrix::Gaussian(20, 9, &rng);
+    Matrix acc_dense = acc;
+    MatMulInto(SparseMatrix::FromDense(a), b, &acc, /*accumulate=*/true);
+    MatMulInto(a, b, &acc_dense, /*accumulate=*/true);
+    EXPECT_TRUE(BitIdentical(acc, acc_dense)) << "accumulate " << bad;
+  }
+}
+
+// Called from a pool task, where every nested ParallelFor runs inline, the
+// sparse products, Matrix::Fill and Matrix::AllFinite give the same results
+// as from outside.
+TEST(SparseGemmTest, SameBitsInsidePoolTask) {
+  Rng rng(91);
+  const Matrix a = SparseOperand(500, 538, 0.05, &rng);
+  const Matrix b = Matrix::Gaussian(538, 40, &rng);
+  Matrix g = Matrix::Gaussian(500, 40, &rng);
+  const SparseMatrix csr = SparseMatrix::FromDense(a);
+  Matrix ab, atg;
+  MatMulInto(csr, b, &ab);
+  MatMulTransposedAInto(csr, g, &atg);
+  Matrix ab_inline, atg_inline, filled;
+  bool finite_inline = false, nan_found_inline = false;
+  RunInsidePoolTask([&] {
+    MatMulInto(csr, b, &ab_inline);
+    MatMulTransposedAInto(csr, g, &atg_inline);
+    filled = Matrix::Gaussian(300, 40, &rng);
+    filled.Fill(-0.0);
+    finite_inline = g.AllFinite();
+    g(499, 39) = std::numeric_limits<double>::quiet_NaN();
+    nan_found_inline = !g.AllFinite();
+  });
+  EXPECT_TRUE(BitIdentical(ab_inline, ab));
+  EXPECT_TRUE(BitIdentical(atg_inline, atg));
+  EXPECT_TRUE(BitIdentical(filled, Matrix(300, 40, -0.0)));
+  EXPECT_TRUE(finite_inline);
+  EXPECT_TRUE(nan_found_inline);
+  EXPECT_FALSE(g.AllFinite());
 }
 
 TEST(OpsTest, TransposeBlockedMatchesNaiveOddShapes) {

@@ -10,12 +10,17 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 #include <unistd.h>
 
+#include "common/durable_io.h"
 #include "common/fault.h"
 #include "core/checkpoint.h"
+#include "core/model_io.h"
+#include "graph/ann/ann_io.h"
 #include "graph/generators.h"
 #include "graph/noise.h"
 #include "serve/alignment_index.h"
@@ -163,6 +168,89 @@ TEST_F(ServeTest, ParseRejectsTruncation) {
         "truncated");
     ASSERT_FALSE(r.ok()) << "at fraction " << frac;
     EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  }
+}
+
+// A loaded artifact must report, and re-save, the ANN config its index was
+// built from, not the default one.
+TEST_F(ServeTest, ParseKeepsNonDefaultAnnConfig) {
+  Rng rng(12);
+  auto g = BarabasiAlbert(50, 3, &rng).MoveValueOrDie();
+  g = g.WithAttributes(BinaryAttributes(50, 8, 0.3, &rng)).MoveValueOrDie();
+  auto pair = MakeNoisyCopyPair(g, NoisyCopyOptions(), &rng).MoveValueOrDie();
+  GAlignConfig config;
+  config.epochs = 2;
+  config.embedding_dim = 8;
+  AlignmentIndexOptions options;
+  options.ann.seed = 7;
+  options.ann.lsh_tables = 5;
+  options.ann.lsh_bits = 4;
+  options.ann.lsh_probes = 48;
+  auto built = AlignmentIndex::Build(config, pair.source, pair.target, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::string payload = built.ValueOrDie()->Serialize();
+  auto back = AlignmentIndex::Parse(payload, "non-default ann config");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  const AnnConfig& got = back.ValueOrDie()->ann_config();
+  EXPECT_EQ(got.seed, 7u);
+  EXPECT_EQ(got.lsh_tables, 5);
+  EXPECT_EQ(got.lsh_bits, 4);
+  EXPECT_EQ(got.lsh_probes, 48);
+  EXPECT_EQ(back.ValueOrDie()->Serialize(), payload);
+}
+
+// A CRC-valid, shape-consistent artifact whose source or target layers have
+// no rows: Parse must reject it with a typed IOError naming the section
+// (swap validation would otherwise spot-check source row -1).
+TEST_F(ServeTest, ParseRejectsZeroRowSections) {
+  const AlignmentIndex& index = *Index();
+  const std::string payload = index.Serialize();
+  const size_t source = payload.find("source_layers ");
+  const size_t target = payload.find("target_layers ");
+  const size_t ann = payload.find("ann ", target);
+  const size_t anchors = payload.find("anchors ", ann);
+  ASSERT_TRUE(source != std::string::npos && target != std::string::npos &&
+              ann != std::string::npos && anchors != std::string::npos);
+  std::vector<Matrix> no_rows{Matrix(0, index.model().input_dim())};
+  for (const Matrix& w : index.model().weights()) {
+    no_rows.emplace_back(0, w.cols());
+  }
+  auto empty_layers = [&](const char* key) {
+    std::ostringstream out;
+    EmitMatrixList(&out, key, no_rows);
+    return out.str();
+  };
+  auto empty_base = BuildAnnIndex(Matrix(0, index.ann().dim()),
+                                  index.ann_config());
+  ASSERT_TRUE(empty_base.ok());
+  const std::string empty_recipe = SerializeAnnRecipe(*empty_base.ValueOrDie());
+
+  for (const std::string section : {"source_layers", "target_layers"}) {
+    const bool no_source = section == "source_layers";
+    const int64_t rows = no_source ? 0 : index.num_source();
+    const int64_t cols = no_source ? index.num_target() : 0;
+    std::string hand = payload.substr(0, source);
+    hand += no_source ? empty_layers("source_layers")
+                      : payload.substr(source, target - source);
+    hand += no_source ? payload.substr(target, anchors - target)
+                      : empty_layers("target_layers") + "ann " +
+                            std::to_string(empty_recipe.size()) + "\n" +
+                            empty_recipe + "\n";
+    hand += "anchors " + std::to_string(rows) + " " + std::to_string(cols) +
+            " " + std::to_string(index.anchor_k()) + " " +
+            std::to_string(rows) + "\n";
+    // A target-less table holds only the -1 / -inf padding.
+    const int64_t slots = rows * index.anchor_k();
+    for (int64_t i = 0; i < slots; ++i) hand += "-1\n";
+    for (int64_t i = 0; i < slots; ++i) {
+      hand += HexDouble(-std::numeric_limits<double>::infinity()) + "\n";
+    }
+    hand += "end\n";
+    auto r = AlignmentIndex::Parse(hand, "hand-built");
+    ASSERT_FALSE(r.ok()) << section;
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError) << section;
+    EXPECT_NE(r.status().message().find(section), std::string::npos)
+        << r.status().message();
   }
 }
 
