@@ -10,8 +10,6 @@
 #include "align/datasets.h"
 #include "align/metrics.h"
 #include "core/galign.h"
-#include "core/refinement.h"
-#include "core/trainer.h"
 #include "la/ops.h"
 #include "manifold/tsne.h"
 
@@ -76,15 +74,15 @@ int main() {
 
   // Qualitative study on a 10-film toy subset (paper Fig. 8): project the
   // concatenated multi-order embeddings of the matched pairs with t-SNE.
-  Rng toy_rng(3);
-  MultiOrderGcn gcn(cfg.num_layers, pair.source.num_attributes(),
-                    cfg.embedding_dim, &toy_rng);
-  Trainer trainer(cfg);
-  trainer.Train(&gcn, pair.source, pair.target, &toy_rng).CheckOK();
-  auto lap_s = pair.source.NormalizedAdjacency().MoveValueOrDie();
-  auto lap_t = pair.target.NormalizedAdjacency().MoveValueOrDie();
-  auto hs = gcn.ForwardInference(lap_s, pair.source.attributes());
-  auto ht = gcn.ForwardInference(lap_t, pair.target.attributes());
+  GAlignConfig toy_cfg = cfg;
+  toy_cfg.seed = 3;
+  toy_cfg.use_refinement = false;
+  TrainedEmbeddings toy_run;
+  TrainAndEmbed(toy_cfg, pair.source, pair.target, {}, RunContext(),
+                /*materialize=*/false, /*ann=*/nullptr, &toy_run)
+      .CheckOK();
+  const std::vector<Matrix>& hs = toy_run.source_layers;
+  const std::vector<Matrix>& ht = toy_run.target_layers;
   Matrix multi_s = ConcatCols({&hs[0], &hs[1], &hs[2]});
   Matrix multi_t = ConcatCols({&ht[0], &ht[1], &ht[2]});
 

@@ -5,16 +5,17 @@
 
 #include "core/refinement.h"
 #include "graph/ann/ann.h"
-#include "la/ops.h"
-#include "core/trainer.h"
 
 namespace galign {
 
-Result<Matrix> GAlignAligner::Align(const AttributedGraph& source,
-                                    const AttributedGraph& target,
-                                    const Supervision& supervision,
-                                    const RunContext& ctx) {
-  GALIGN_RETURN_NOT_OK(config_.Validate());
+Status TrainAndEmbed(const GAlignConfig& config,
+                     const AttributedGraph& source,
+                     const AttributedGraph& target,
+                     const Supervision& supervision, const RunContext& ctx,
+                     bool materialize, const AnnPolicy* ann,
+                     TrainedEmbeddings* out) {
+  *out = TrainedEmbeddings();
+  GALIGN_RETURN_NOT_OK(config.Validate());
   if (source.num_nodes() == 0 || target.num_nodes() == 0) {
     return Status::InvalidArgument("empty network");
   }
@@ -22,43 +23,72 @@ Result<Matrix> GAlignAligner::Align(const AttributedGraph& source,
     return Status::InvalidArgument(
         "GAlign requires equal attribute dimensionality");
   }
-  MemoryScope admission;
-  GALIGN_RETURN_NOT_OK(
-      ReserveAlignerBudget(*this, source, target, ctx, &admission));
 
-  Rng rng(config_.seed);
-  MultiOrderGcn gcn(config_.num_layers, source.num_attributes(),
-                    config_.embedding_dim, &rng);
-
-  Trainer trainer(config_);
+  Rng rng(config.seed);
+  out->model = std::make_unique<MultiOrderGcn>(
+      config.num_layers, source.num_attributes(), config.embedding_dim, &rng);
+  Trainer trainer(config);
   // The paper's model is fully unsupervised and ignores supervision; seeds
   // only enter training when the semi-supervised extension is enabled
   // (seed_loss_weight > 0).
-  const auto& seeds = config_.seed_loss_weight > 0.0
+  const auto& seeds = config.seed_loss_weight > 0.0
                           ? supervision.seeds
                           : std::vector<std::pair<int64_t, int64_t>>{};
-  GALIGN_RETURN_NOT_OK(trainer.Train(&gcn, source, target, &rng, seeds, ctx));
-  last_loss_history_ = trainer.loss_history();
-  last_train_report_ = trainer.report();
-  last_refinement_scores_.clear();
+  const Status trained =
+      trainer.Train(out->model.get(), source, target, &rng, seeds, ctx);
+  out->loss_history = trainer.loss_history();
+  out->report = trainer.report();
+  GALIGN_RETURN_NOT_OK(trained);
 
-  if (config_.use_refinement) {
-    auto refined = RefineAlignment(gcn, source, target, config_, ctx);
-    if (!refined.ok()) return refined.status();
-    last_refinement_scores_ = refined.ValueOrDie().score_history;
-    return std::move(refined.ValueOrDie().alignment);
+  if (config.use_refinement) {
+    auto refined = RefineAlignment(*out->model, source, target, config, ctx,
+                                   materialize, ann);
+    GALIGN_RETURN_NOT_OK(refined.status());
+    RefinementResult& r = refined.ValueOrDie();
+    out->refinement_scores = std::move(r.score_history);
+    out->source_layers = std::move(r.source_embeddings);
+    out->target_layers = std::move(r.target_embeddings);
+    out->alignment = std::move(r.alignment);
+    return Status::OK();
   }
 
-  // GAlign-2 path: aggregate the trained embeddings directly (Eq. 12).
+  // GAlign-2 path: the trained embeddings, aggregated directly (Eq. 12).
   auto lap_s = source.NormalizedAdjacency();
   GALIGN_RETURN_NOT_OK(lap_s.status());
   auto lap_t = target.NormalizedAdjacency();
   GALIGN_RETURN_NOT_OK(lap_t.status());
-  std::vector<Matrix> hs =
-      gcn.ForwardInference(lap_s.ValueOrDie(), source.attributes());
-  std::vector<Matrix> ht =
-      gcn.ForwardInference(lap_t.ValueOrDie(), target.attributes());
-  return AggregateAlignment(hs, ht, config_.EffectiveLayerWeights());
+  out->source_layers =
+      out->model->ForwardInference(lap_s.ValueOrDie(), source.attributes());
+  out->target_layers =
+      out->model->ForwardInference(lap_t.ValueOrDie(), target.attributes());
+  if (materialize) {
+    out->alignment = AggregateAlignment(out->source_layers, out->target_layers,
+                                        config.EffectiveLayerWeights());
+  }
+  return Status::OK();
+}
+
+void GAlignAligner::RecordLastRun(TrainedEmbeddings* run) {
+  last_loss_history_ = std::move(run->loss_history);
+  last_refinement_scores_ = std::move(run->refinement_scores);
+  last_train_report_ = std::move(run->report);
+}
+
+Result<Matrix> GAlignAligner::Align(const AttributedGraph& source,
+                                    const AttributedGraph& target,
+                                    const Supervision& supervision,
+                                    const RunContext& ctx) {
+  TrainedEmbeddings run;
+  RecordLastRun(&run);  // forget the previous call
+  MemoryScope admission;
+  GALIGN_RETURN_NOT_OK(
+      ReserveAlignerBudget(*this, source, target, ctx, &admission));
+  const Status status = TrainAndEmbed(config_, source, target, supervision,
+                                      ctx, /*materialize=*/true,
+                                      /*ann=*/nullptr, &run);
+  RecordLastRun(&run);
+  GALIGN_RETURN_NOT_OK(status);
+  return std::move(run.alignment);
 }
 
 uint64_t GAlignAligner::EstimateTrainBytes(int64_t n_source, int64_t n_target,
@@ -89,14 +119,8 @@ Result<TopKAlignment> GAlignAligner::AlignTopK(const AttributedGraph& source,
                                                const Supervision& supervision,
                                                const RunContext& ctx,
                                                int64_t k) {
-  GALIGN_RETURN_NOT_OK(config_.Validate());
-  if (source.num_nodes() == 0 || target.num_nodes() == 0) {
-    return Status::InvalidArgument("empty network");
-  }
-  if (source.num_attributes() != target.num_attributes()) {
-    return Status::InvalidArgument(
-        "GAlign requires equal attribute dimensionality");
-  }
+  TrainedEmbeddings run;
+  RecordLastRun(&run);  // forget the previous call
   // Admit only the training/refinement working set — this path never
   // materializes the n1 x n2 aggregation the dense estimate includes.
   MemoryScope train_scope;
@@ -107,36 +131,13 @@ Result<TopKAlignment> GAlignAligner::AlignTopK(const AttributedGraph& source,
                            source.num_attributes()),
         name_ + " training admission", &train_scope));
   }
-
-  Rng rng(config_.seed);
-  MultiOrderGcn gcn(config_.num_layers, source.num_attributes(),
-                    config_.embedding_dim, &rng);
-  Trainer trainer(config_);
-  const auto& seeds = config_.seed_loss_weight > 0.0
-                          ? supervision.seeds
-                          : std::vector<std::pair<int64_t, int64_t>>{};
-  GALIGN_RETURN_NOT_OK(trainer.Train(&gcn, source, target, &rng, seeds, ctx));
-  last_loss_history_ = trainer.loss_history();
-  last_train_report_ = trainer.report();
-  last_refinement_scores_.clear();
-
-  const std::vector<double> theta = config_.EffectiveLayerWeights();
-  std::vector<Matrix> hs, ht;
-  if (config_.use_refinement) {
-    auto refined = RefineAlignment(gcn, source, target, config_, ctx,
-                                   /*materialize=*/false, &ann_policy_);
-    if (!refined.ok()) return refined.status();
-    last_refinement_scores_ = refined.ValueOrDie().score_history;
-    hs = std::move(refined.ValueOrDie().source_embeddings);
-    ht = std::move(refined.ValueOrDie().target_embeddings);
-  } else {
-    auto lap_s = source.NormalizedAdjacency();
-    GALIGN_RETURN_NOT_OK(lap_s.status());
-    auto lap_t = target.NormalizedAdjacency();
-    GALIGN_RETURN_NOT_OK(lap_t.status());
-    hs = gcn.ForwardInference(lap_s.ValueOrDie(), source.attributes());
-    ht = gcn.ForwardInference(lap_t.ValueOrDie(), target.attributes());
-  }
+  const Status status = TrainAndEmbed(config_, source, target, supervision,
+                                      ctx, /*materialize=*/false,
+                                      &ann_policy_, &run);
+  RecordLastRun(&run);
+  GALIGN_RETURN_NOT_OK(status);
+  const std::vector<Matrix>& hs = run.source_layers;
+  const std::vector<Matrix>& ht = run.target_layers;
 
   // Training transients are gone; re-reserve only the surviving embeddings
   // so the chunked scan sizes its block from the true remaining headroom.
@@ -149,41 +150,11 @@ Result<TopKAlignment> GAlignAligner::AlignTopK(const AttributedGraph& source,
     GALIGN_RETURN_NOT_OK(MemoryScope::Reserve(
         ctx.budget(), live, name_ + " refined embeddings", &embed_scope));
   }
+  const std::vector<double> theta = config_.EffectiveLayerWeights();
   if (ShouldUseAnn(ann_policy_, source.num_nodes(), target.num_nodes())) {
     return AnnEmbeddingTopK(hs, ht, theta, k, ann_policy_, ctx);
   }
   return ChunkedEmbeddingTopK(hs, ht, theta, k, ctx);
-}
-
-Result<MultiOrderEmbeddings> EmbedNetworks(const GAlignConfig& config,
-                                           const AttributedGraph& source,
-                                           const AttributedGraph& target) {
-  if (source.num_attributes() != target.num_attributes()) {
-    return Status::InvalidArgument(
-        "EmbedNetworks requires equal attribute dimensionality");
-  }
-  Rng rng(config.seed);
-  MultiOrderGcn gcn(config.num_layers, source.num_attributes(),
-                    config.embedding_dim, &rng);
-  Trainer trainer(config);
-  GALIGN_RETURN_NOT_OK(trainer.Train(&gcn, source, target, &rng));
-
-  auto lap_s = source.NormalizedAdjacency();
-  GALIGN_RETURN_NOT_OK(lap_s.status());
-  auto lap_t = target.NormalizedAdjacency();
-  GALIGN_RETURN_NOT_OK(lap_t.status());
-
-  MultiOrderEmbeddings out;
-  out.source_layers =
-      gcn.ForwardInference(lap_s.ValueOrDie(), source.attributes());
-  out.target_layers =
-      gcn.ForwardInference(lap_t.ValueOrDie(), target.attributes());
-  std::vector<const Matrix*> ps, pt;
-  for (const Matrix& h : out.source_layers) ps.push_back(&h);
-  for (const Matrix& h : out.target_layers) pt.push_back(&h);
-  out.source_concat = ConcatCols(ps);
-  out.target_concat = ConcatCols(pt);
-  return out;
 }
 
 GAlignConfig GAlignAligner::WithoutAugmentation(GAlignConfig base) {

@@ -11,7 +11,6 @@
 #include "common/logging.h"
 #include "core/galign.h"
 #include "core/model_io.h"
-#include "core/trainer.h"
 #include "graph/ann/ann.h"
 #include "graph/ann/ann_io.h"
 
@@ -79,39 +78,30 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndex::Build(
     const GAlignConfig& config, const AttributedGraph& source,
     const AttributedGraph& target, const AlignmentIndexOptions& options,
     const RunContext& ctx) {
-  GALIGN_RETURN_NOT_OK(config.Validate());
-  if (source.num_attributes() != target.num_attributes()) {
-    return Status::InvalidArgument(
-        "AlignmentIndex::Build requires equal attribute dimensionality");
-  }
   if (options.anchor_k <= 0) {
     return Status::InvalidArgument("AlignmentIndex::Build: anchor_k must be > 0");
   }
 
-  std::shared_ptr<AlignmentIndex> out(new AlignmentIndex());
-
-  // Alg. 1 training; the artifact keeps the trained model itself so a
-  // reload can verify (or re-derive) everything downstream of it.
-  Rng rng(config.seed);
-  out->gcn_ = std::make_unique<MultiOrderGcn>(
-      config.num_layers, source.num_attributes(), config.embedding_dim, &rng);
-  Trainer trainer(config);
-  GALIGN_RETURN_NOT_OK(
-      trainer.Train(out->gcn_.get(), source, target, &rng, /*seeds=*/{}, ctx));
+  // The artifact holds Alg. 1's trained layers: a build never refines.
+  GAlignConfig train_config = config;
+  train_config.use_refinement = false;
+  TrainedEmbeddings trained;
+  GALIGN_RETURN_NOT_OK(TrainAndEmbed(train_config, source, target,
+                                     Supervision{}, ctx,
+                                     /*materialize=*/false, /*ann=*/nullptr,
+                                     &trained));
   if (ctx.ShouldStop()) {
     return Status::DeadlineExceeded(
         "AlignmentIndex::Build stopped during training — refusing to emit a "
         "partial artifact");
   }
 
-  auto lap_s = source.NormalizedAdjacency();
-  GALIGN_RETURN_NOT_OK(lap_s.status());
-  auto lap_t = target.NormalizedAdjacency();
-  GALIGN_RETURN_NOT_OK(lap_t.status());
-  out->source_layers_ =
-      out->gcn_->ForwardInference(lap_s.ValueOrDie(), source.attributes());
-  out->target_layers_ =
-      out->gcn_->ForwardInference(lap_t.ValueOrDie(), target.attributes());
+  // The artifact keeps the trained model itself so a reload can verify (or
+  // re-derive) everything downstream of it.
+  std::shared_ptr<AlignmentIndex> out(new AlignmentIndex());
+  out->gcn_ = std::move(trained.model);
+  out->source_layers_ = std::move(trained.source_layers);
+  out->target_layers_ = std::move(trained.target_layers);
   out->theta_ = config.EffectiveLayerWeights();
 
   // Query side carries theta so the multi-order score is one inner product

@@ -55,6 +55,8 @@ class AlignmentIndex {
  public:
   /// \brief Trains Alg. 1 under `config` and assembles the artifact.
   ///
+  /// Training runs through TrainAndEmbed with config.use_refinement off:
+  /// the artifact holds the trained layers, not Alg. 2's refined ones.
   /// Fails with DeadlineExceeded instead of emitting a partial artifact
   /// when `ctx` stops the build early — a half-built serving index is not
   /// a degraded answer, it is a wrong one.

@@ -2,7 +2,8 @@
 // registry, against every degenerate pair shape, must return either a clean
 // non-OK Status or a valid finite alignment — never crash, never NaN. Both
 // the dense Align() and the budget-degraded AlignTopK() entry points are
-// held to the contract.
+// held to the contract, and so is AlignmentIndex::Build: a clean non-OK
+// Status or an artifact that loads.
 //
 // Also pins the degree-zero normalization contract: isolated nodes must not
 // put 1/sqrt(0) infinities into any propagation matrix.
@@ -28,6 +29,7 @@
 #include "core/galign.h"
 #include "graph/ann/ann_index.h"
 #include "graph/generators.h"
+#include "serve/alignment_index.h"
 
 namespace galign {
 namespace {
@@ -188,6 +190,23 @@ TEST(DegenerateConformanceTest, AllAlignersAllShapes) {
     for (const auto& shape : shapes) {
       ExpectConformance(a.get(), shape.source, shape.target, shape.name);
     }
+  }
+}
+
+TEST(DegenerateConformanceTest, AlignmentIndexBuildAllShapes) {
+  GAlignConfig cfg;
+  cfg.epochs = 4;
+  cfg.embedding_dim = 8;
+  AlignmentIndexOptions options;
+  options.anchor_k = 3;
+  for (const auto& shape : DegenerateShapes()) {
+    auto built = AlignmentIndex::Build(cfg, shape.source, shape.target,
+                                       options);
+    if (!built.ok()) continue;  // a clean Status is conforming
+    auto loaded =
+        AlignmentIndex::Parse(built.ValueOrDie()->Serialize(), shape.name);
+    EXPECT_TRUE(loaded.ok()) << shape.name << ": "
+                             << loaded.status().ToString();
   }
 }
 

@@ -14,6 +14,7 @@
 #include "baselines/final.h"
 #include "baselines/isorank.h"
 #include "common/fault.h"
+#include "core/galign.h"
 #include "core/refinement.h"
 #include "core/trainer.h"
 #include "graph/generators.h"
@@ -198,6 +199,38 @@ TEST_F(DivergenceRecoveryTest, TrainerGivesUpAfterRollbackBudget) {
   EXPECT_TRUE(run.report.diverged);
   EXPECT_EQ(run.report.rollbacks, cfg.max_rollbacks + 1);
   EXPECT_FALSE(run.report.recovered());
+}
+
+TEST_F(DivergenceRecoveryTest, AlignerReportsTrainingThatGaveUp) {
+  AttributedGraph g = SmallGraph(11);
+  Rng pair_rng(12);
+  NoisyCopyOptions opts;
+  opts.structural_noise = 0.1;
+  auto pair = MakeNoisyCopyPair(g, opts, &pair_rng).MoveValueOrDie();
+  GAlignConfig cfg = FastConfig();
+  cfg.max_rollbacks = 2;
+  GAlignAligner aligner(cfg);
+  // A healthy run first: a stale record would then read as a healthy one.
+  ASSERT_TRUE(aligner.Align(pair.source, pair.target, {}).ok());
+  ASSERT_FALSE(aligner.last_train_report().diverged);
+
+  fault::Spec spec;
+  spec.kind = fault::Kind::kNaN;
+  spec.at_call = 0;
+  spec.repeat = 1000;  // every epoch's gradient is poisoned
+  for (const bool topk : {false, true}) {
+    SCOPED_TRACE(topk ? "AlignTopK" : "Align");
+    fault::Arm("train.grad", spec);
+    const Status status =
+        topk ? aligner.AlignTopK(pair.source, pair.target, {}, RunContext(), 3)
+                   .status()
+             : aligner.Align(pair.source, pair.target, {}).status();
+    fault::DisarmAll();
+    EXPECT_EQ(status.code(), StatusCode::kNotConverged) << status.ToString();
+    EXPECT_TRUE(aligner.last_train_report().diverged);
+    EXPECT_EQ(aligner.last_train_report().rollbacks, cfg.max_rollbacks + 1);
+    EXPECT_TRUE(aligner.last_refinement_scores().empty());
+  }
 }
 
 TEST_F(DivergenceRecoveryTest, ZeroRollbackBudgetFailsFast) {

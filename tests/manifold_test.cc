@@ -4,51 +4,10 @@
 
 #include "common/rng.h"
 #include "la/ops.h"
-#include "manifold/pca.h"
 #include "manifold/tsne.h"
 
 namespace galign {
 namespace {
-
-TEST(PcaTest, ShapeAndCentering) {
-  Rng rng(1);
-  Matrix x = Matrix::Gaussian(30, 8, &rng);
-  auto p = Pca(x, 2);
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p.ValueOrDie().rows(), 30);
-  EXPECT_EQ(p.ValueOrDie().cols(), 2);
-  // Projection of centered data has ~zero column means.
-  for (int64_t c = 0; c < 2; ++c) {
-    EXPECT_NEAR(p.ValueOrDie().Col(c).Sum() / 30.0, 0.0, 1e-10);
-  }
-}
-
-TEST(PcaTest, RecoversDominantDirection) {
-  // Points along (1, 1) with small orthogonal noise: PC1 variance must
-  // dominate PC2 variance by a large factor.
-  Rng rng(2);
-  Matrix x(200, 2);
-  for (int64_t i = 0; i < 200; ++i) {
-    double t = rng.Normal() * 5.0;
-    double noise = rng.Normal() * 0.1;
-    x(i, 0) = t + noise;
-    x(i, 1) = t - noise;
-  }
-  auto p = Pca(x, 2).MoveValueOrDie();
-  double var1 = p.Col(0).SquaredNorm();
-  double var2 = p.Col(1).SquaredNorm();
-  EXPECT_GT(var1, var2 * 100);
-}
-
-TEST(PcaTest, ComponentsClampedToInputDim) {
-  Rng rng(3);
-  Matrix x = Matrix::Gaussian(10, 3, &rng);
-  auto p = Pca(x, 99);
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p.ValueOrDie().cols(), 3);
-}
-
-TEST(PcaTest, RejectsEmpty) { EXPECT_FALSE(Pca(Matrix(), 2).ok()); }
 
 TEST(TsneTest, OutputShape) {
   Rng rng(4);

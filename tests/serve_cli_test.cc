@@ -116,6 +116,25 @@ TEST_F(ServeCliTest, ServeFallsBackPastTornNewestGeneration) {
       << CapturedOutput();
 }
 
+TEST_F(ServeCliTest, ExportOfEmptyNetworkFailsAndPublishesNothing) {
+  const std::string empty = Dir("empty.edges"), path = Dir("path.edges");
+  std::ofstream(empty) << "# nodes=0\n";
+  std::ofstream(path) << "# nodes=4\n0\t1\n1\t2\n2\t3\n";
+  for (const std::string& sides :
+       {"--source=" + empty + " --target=" + path,
+        "--source=" + path + " --target=" + empty}) {
+    EXPECT_NE(Run("--mode=export --artifact-dir=" + Dir("aidx") + " " +
+                  sides + " --epochs=2 --dim=8"),
+              0)
+        << sides;
+    EXPECT_NE(CapturedOutput().find("empty network"), std::string::npos)
+        << CapturedOutput();
+    EXPECT_FALSE(std::filesystem::exists(Dir("aidx") + "/aidx_00000001"))
+        << sides;
+    EXPECT_FALSE(std::filesystem::exists(Dir("aidx") + "/MANIFEST")) << sides;
+  }
+}
+
 TEST_F(ServeCliTest, ServeOnEmptyDirFailsTyped) {
   std::filesystem::create_directories(Dir("empty"));
   EXPECT_NE(Run("--mode=serve --artifact-dir=" + Dir("empty")), 0);

@@ -7,6 +7,7 @@
 // rejection — and overload never crashes or hangs.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -19,7 +20,9 @@
 #include "common/durable_io.h"
 #include "common/fault.h"
 #include "core/checkpoint.h"
+#include "core/galign.h"
 #include "core/model_io.h"
+#include "graph/ann/ann.h"
 #include "graph/ann/ann_io.h"
 #include "graph/generators.h"
 #include "graph/noise.h"
@@ -30,23 +33,31 @@
 namespace galign {
 namespace {
 
+// The pair and training configuration of the suite's shared artifact.
+AlignmentPair ArtifactPair() {
+  Rng rng(11);
+  auto g = BarabasiAlbert(60, 3, &rng).MoveValueOrDie();
+  g = g.WithAttributes(BinaryAttributes(60, 8, 0.3, &rng)).MoveValueOrDie();
+  NoisyCopyOptions opts;
+  opts.structural_noise = 0.05;
+  return MakeNoisyCopyPair(g, opts, &rng).MoveValueOrDie();
+}
+
+GAlignConfig ArtifactConfig() {
+  GAlignConfig config;
+  config.epochs = 4;
+  config.embedding_dim = 16;
+  return config;
+}
+
 class ServeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    Rng rng(11);
-    auto g = BarabasiAlbert(60, 3, &rng).MoveValueOrDie();
-    g = g.WithAttributes(BinaryAttributes(60, 8, 0.3, &rng)).MoveValueOrDie();
-    NoisyCopyOptions opts;
-    opts.structural_noise = 0.05;
-    auto pair = MakeNoisyCopyPair(g, opts, &rng).MoveValueOrDie();
-
-    GAlignConfig config;
-    config.epochs = 4;
-    config.embedding_dim = 16;
+    const AlignmentPair pair = ArtifactPair();
     AlignmentIndexOptions options;
     options.anchor_k = 5;
-    auto built =
-        AlignmentIndex::Build(config, pair.source, pair.target, options);
+    auto built = AlignmentIndex::Build(ArtifactConfig(), pair.source,
+                                       pair.target, options);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     index_ = new std::shared_ptr<const AlignmentIndex>(built.ValueOrDie());
   }
@@ -95,6 +106,40 @@ TEST_F(ServeTest, BuildProducesCompleteArtifact) {
   EXPECT_EQ(index.anchors().rows_computed, index.num_source());
   EXPECT_FALSE(index.ann().truncated());
   EXPECT_GT(index.MemoryBytes(), 0u);
+}
+
+void ExpectSameBits(const Matrix& a, const Matrix& b, const std::string& what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+      << what;
+}
+
+// Build trains through TrainAndEmbed with refinement off (the config asks
+// for it, the artifact never refines): its model and layers are exactly the
+// function's output.
+TEST_F(ServeTest, BuildHoldsTrainAndEmbedOutputBitForBit) {
+  const AlignmentPair pair = ArtifactPair();
+  GAlignConfig config = ArtifactConfig();
+  ASSERT_TRUE(config.use_refinement);
+  config.use_refinement = false;
+  TrainedEmbeddings run;
+  ASSERT_TRUE(TrainAndEmbed(config, pair.source, pair.target, Supervision{},
+                            RunContext(), /*materialize=*/false,
+                            /*ann=*/nullptr, &run)
+                  .ok());
+  const AlignmentIndex& index = *Index();
+  ASSERT_EQ(index.model().weights().size(), run.model->weights().size());
+  for (size_t l = 0; l < run.model->weights().size(); ++l) {
+    ExpectSameBits(index.model().weights()[l], run.model->weights()[l],
+                   "weights " + std::to_string(l));
+  }
+  auto queries = ConcatLayerRows(run.source_layers, &index.theta(), nullptr);
+  auto base = ConcatLayerRows(run.target_layers, nullptr, nullptr);
+  ASSERT_TRUE(queries.ok());
+  ASSERT_TRUE(base.ok());
+  ExpectSameBits(index.queries(), queries.ValueOrDie(), "source layers");
+  ExpectSameBits(index.ann().base(), base.ValueOrDie(), "target layers");
 }
 
 TEST_F(ServeTest, SerializeIsDeterministic) {
