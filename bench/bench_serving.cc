@@ -15,16 +15,27 @@
 //
 // At 1x the queue absorbs everything and shed must be ~0; at 16x most of
 // the load must shed — the interesting number is that p99 of what *was*
-// answered stays bounded instead of growing with offered load. Run via
-// bench/run_all.sh to record BENCH_serving.json with provenance stamps.
+// answered stays bounded instead of growing with offered load.
+//
+// The refresh cells time the artifact codec at the shape of perfbench's
+// serve_swap artifact (6000 nodes a side, 16 attributes, embedding_dim
+// 100: 45.6 MB of text): BM_ArtifactSerialize, BM_ArtifactParse, BM_Crc32
+// over the payload, and BM_StoreRefresh, one idle Save + PollOnce. The
+// artifact is trained for one epoch only: codec cost depends on its shape,
+// not on how well it aligns. Run via bench/run_all.sh to record
+// BENCH_serving.json with provenance stamps.
 #include <benchmark/benchmark.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -34,8 +45,10 @@
 #include "core/galign.h"
 #include "graph/generators.h"
 #include "graph/noise.h"
+#include "common/durable_io.h"
 #include "serve/alignment_index.h"
 #include "serve/server.h"
+#include "serve/swap/swap.h"
 
 namespace galign {
 namespace {
@@ -282,6 +295,116 @@ BENCHMARK(BM_ServingHotSwap)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+/// An artifact of serve_swap's shape (see the file comment), built once.
+std::shared_ptr<const AlignmentIndex> SwapShapedIndex() {
+  static const std::shared_ptr<const AlignmentIndex> index = [] {
+    constexpr int64_t kSwapNodes = 6000;
+    Rng rng(1);
+    Matrix attrs = BinaryAttributes(kSwapNodes, 16, 0.2, &rng);
+    auto g = PowerLawGraph(kSwapNodes, 4 * kSwapNodes, 2.5, &rng,
+                           std::move(attrs))
+                 .MoveValueOrDie();
+    NoisyCopyOptions noise;
+    noise.structural_noise = 0.10;
+    auto pair = MakeNoisyCopyPair(g, noise, &rng).MoveValueOrDie();
+    GAlignConfig config;
+    config.epochs = 1;
+    config.embedding_dim = 100;
+    return AlignmentIndex::Build(config, pair.source, pair.target, {})
+        .MoveValueOrDie();
+  }();
+  return index;
+}
+
+const std::string& SwapShapedPayload() {
+  static const std::string payload = SwapShapedIndex()->Serialize();
+  return payload;
+}
+
+void BM_ArtifactSerialize(benchmark::State& state) {
+  const AlignmentIndex& index = *SwapShapedIndex();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string payload = index.Serialize();
+    bytes = payload.size();
+    benchmark::DoNotOptimize(payload.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+
+BENCHMARK(BM_ArtifactSerialize)->Unit(benchmark::kMillisecond);
+
+/// Parse includes what a load derives from the text: the query matrix and
+/// the ANN index rebuilt and checked against the recorded fingerprint.
+void BM_ArtifactParse(benchmark::State& state) {
+  const std::string& payload = SwapShapedPayload();
+  for (auto _ : state) {
+    auto parsed = AlignmentIndex::Parse(payload, "bench artifact");
+    if (!parsed.ok()) {
+      state.SkipWithError(parsed.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(parsed.ValueOrDie().get());
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * payload.size()));
+}
+
+BENCHMARK(BM_ArtifactParse)->Unit(benchmark::kMillisecond);
+
+void BM_Crc32(benchmark::State& state) {
+  const std::string& payload = SwapShapedPayload();
+  for (auto _ : state) {
+    uint32_t crc = Crc32(payload);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * payload.size()));
+}
+
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMillisecond);
+
+/// One refresh on an idle server: Save a new generation (write, CRC,
+/// retention), then PollOnce to load, validate and publish it (with the
+/// post-publish retention pass) — serve_swap's latency_ms without the
+/// query load beside it.
+void BM_StoreRefresh(benchmark::State& state) {
+  std::shared_ptr<const AlignmentIndex> index = SwapShapedIndex();
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("galign_bench_refresh_" + std::to_string(::getpid())))
+          .string();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  AlignmentIndexStore store(dir);
+  int generation = 0;
+  Status saved = store.Save(*index);
+  auto first = saved.ok() ? store.LoadLatest(RunContext(), &generation)
+                          : Result<std::shared_ptr<const AlignmentIndex>>(
+                                saved);
+  if (!first.ok()) {
+    state.SkipWithError(first.status().ToString().c_str());
+    std::filesystem::remove_all(dir, ec);
+    return;
+  }
+  AlignServer server(first.ValueOrDie(), ServeConfig{}, generation);
+  server.Start();
+  {
+    ArtifactWatcher watcher(&server, &store);
+    for (auto _ : state) {
+      if (!store.Save(*index).ok() || !watcher.PollOnce()) {
+        state.SkipWithError("refresh did not publish");
+        break;
+      }
+    }
+  }
+  server.Shutdown();
+  std::filesystem::remove_all(dir, ec);
+}
+
+BENCHMARK(BM_StoreRefresh)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace galign

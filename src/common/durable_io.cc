@@ -1,6 +1,7 @@
 #include "common/durable_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,7 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -20,17 +21,172 @@ namespace galign {
 
 namespace {
 
-std::array<uint32_t, 256> BuildCrc32Table() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: row 0 is the byte-at-a-time table of the reflected
+// IEEE polynomial; row k advances a byte's contribution k more zero bytes,
+// so one step folds eight input bytes with eight independent lookups.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables BuildCrc32Tables() {
+  Crc32Tables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < 8; ++k) {
+    for (size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
+
+constexpr Crc32Tables kCrc32 = BuildCrc32Tables();
+
+// Little-endian word from four bytes, whatever the host's byte order.
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+// Digit pairs of every byte value, for the table-driven HexDouble writer.
+using HexPairs = std::array<std::array<char, 2>, 256>;
+
+constexpr HexPairs BuildHexPairs() {
+  constexpr char kDigits[] = "0123456789abcdef";
+  HexPairs pairs{};
+  for (size_t b = 0; b < 256; ++b) {
+    pairs[b] = {kDigits[b >> 4], kDigits[b & 0xFu]};
+  }
+  return pairs;
+}
+
+constexpr HexPairs kHexPairs = BuildHexPairs();
+
+// Writes the 16 HexDouble digits of `d` at `out`; returns the end.
+inline char* WriteHexDouble(char* out, double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    const auto& pair = kHexPairs[(bits >> shift) & 0xFFu];
+    *out++ = pair[0];
+    *out++ = pair[1];
+  }
+  return out;
+}
+
+// Nibble value of a lowercase hex digit, or 0xFF.
+using HexValues = std::array<uint8_t, 256>;
+
+constexpr HexValues BuildHexValues() {
+  HexValues v{};
+  for (size_t c = 0; c < 256; ++c) v[c] = 0xFF;
+  for (uint8_t d = 0; d < 10; ++d) v['0' + d] = d;
+  for (uint8_t d = 0; d < 6; ++d) v['a' + d] = static_cast<uint8_t>(10 + d);
+  return v;
+}
+
+constexpr HexValues kHexValues = BuildHexValues();
+
+// Decodes the 16 digits at `p`; false unless all are lowercase hex. The
+// two halves accumulate independently.
+inline bool DecodeHex16(const char* p, double* out) {
+  uint64_t hi = 0, lo = 0;
+  uint8_t bad = 0;
+  for (int k = 0; k < 8; ++k) {
+    const uint8_t a = kHexValues[static_cast<unsigned char>(p[k])];
+    const uint8_t b = kHexValues[static_cast<unsigned char>(p[k + 8])];
+    bad |= a | b;
+    hi = hi << 4 | (a & 0xFu);
+    lo = lo << 4 | (b & 0xFu);
+  }
+  if (bad & 0xF0u) return false;
+  const uint64_t bits = hi << 32 | lo;
+  std::memcpy(out, &bits, sizeof(bits));
+  return true;
+}
+
+// Decodes a HexDouble token; false unless it is exactly 16 lowercase hex
+// digits.
+inline bool DecodeHexDouble(std::string_view tok, double* out) {
+  return tok.size() == 16 && DecodeHex16(tok.data(), out);
+}
+
+// What operator>> skips in the C locale.
+inline bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+// The last line of `s` that is not empty once trailing newlines are
+// dropped: [start, end). end == 0 when `s` holds only newlines.
+struct LineSpan {
+  size_t start = 0;
+  size_t end = 0;
+};
+
+LineSpan LastLine(std::string_view s) {
+  LineSpan line;
+  line.end = s.size();
+  while (line.end > 0 && s[line.end - 1] == '\n') --line.end;
+  if (line.end == 0) return line;
+  const size_t nl = s.rfind('\n', line.end - 1);
+  line.start = nl == std::string_view::npos ? 0 : nl + 1;
+  return line;
+}
+
+enum class Trailer { kMissing, kMalformed, kPresent };
+
+// Reads the stored checksum out of `line`, the last non-empty line. The
+// value goes through `operator>> std::hex`, whose leniency (leading blanks,
+// a 0x prefix, trailing junk) defines which trailers files already carry.
+Trailer ParseTrailerLine(std::string_view line, uint32_t* stored) {
+  const size_t prefix_len = sizeof(kCrcTrailerPrefix) - 1;
+  if (line.substr(0, prefix_len) != kCrcTrailerPrefix) return Trailer::kMissing;
+  std::istringstream hs{std::string(line.substr(prefix_len))};
+  hs >> std::hex >> *stored;
+  return hs.fail() ? Trailer::kMalformed : Trailer::kPresent;
+}
+
+Status TrailerError(Trailer state, const std::string& context) {
+  return Status::IOError(std::string(state == Trailer::kMissing
+                                         ? "missing #crc32 trailer in "
+                                         : "malformed #crc32 trailer in ") +
+                         context);
+}
+
+Status ChecksumMismatch(uint32_t stored, uint32_t actual,
+                        const std::string& context) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf),
+                "checksum mismatch (stored %08x, computed %08x) in ", stored,
+                actual);
+  return Status::IOError(buf + context);
+}
+
+// Reads exactly `size` bytes at `offset`; false on error or a short file.
+bool PreadFully(int fd, char* buf, size_t size, off_t offset) {
+  while (size > 0) {
+    const ssize_t n = ::pread(fd, buf, size, offset);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    buf += n;
+    size -= static_cast<size_t>(n);
+    offset += n;
+  }
+  return true;
+}
+
+// Closes a file descriptor when it goes out of scope.
+class FdCloser {
+ public:
+  explicit FdCloser(int fd) : fd_(fd) {}
+  ~FdCloser() { ::close(fd_); }
+  FdCloser(const FdCloser&) = delete;
+  FdCloser& operator=(const FdCloser&) = delete;
+
+ private:
+  int fd_;
+};
 
 std::string ErrnoMessage(const std::string& what, const std::string& path) {
   return what + " " + path + ": " + std::strerror(errno);
@@ -47,18 +203,27 @@ std::string DirOf(const std::string& path) {
 
 }  // namespace
 
-uint32_t Crc32(const void* data, size_t size) {
-  static const std::array<uint32_t, 256> table = BuildCrc32Table();
+uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
+  const Crc32Tables& t = kCrc32;
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  uint32_t c = ~crc;
+  for (; size >= 8; p += 8, size -= 8) {
+    const uint32_t lo = c ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
-  return crc ^ 0xFFFFFFFFu;
+  for (; size > 0; ++p, --size) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  return ~c;
 }
 
-uint32_t Crc32(const std::string& data) {
-  return Crc32(data.data(), data.size());
+uint32_t Crc32(const void* data, size_t size) {
+  return Crc32Update(0, data, size);
+}
+
+uint32_t Crc32(std::string_view data) {
+  return Crc32Update(0, data.data(), data.size());
 }
 
 Status AtomicWriteFile(const std::string& path, const std::string& content) {
@@ -109,79 +274,210 @@ Status AtomicWriteFile(const std::string& path, const std::string& content) {
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  if (in.bad()) return Status::IOError("read failed: " + path);
-  return out.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open for read: " + path);
+  FdCloser closer(fd);
+  struct stat st {};
+  const size_t size = ::fstat(fd, &st) == 0 && st.st_size > 0
+                          ? static_cast<size_t>(st.st_size)
+                          : 0;
+  // One spare byte, so the read that sees end of file needs no growth.
+  // Reading runs to end of file, not to the fstat size: the file may have
+  // grown since, and special files report 0.
+  std::string out(size + 1, '\0');
+  size_t got = 0;
+  for (;;) {
+    if (got == out.size()) out.resize(2 * got);
+    const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return Status::IOError("read failed: " + path);
+    if (n == 0) break;
+    got += static_cast<size_t>(n);
+  }
+  out.resize(got);
+  return out;
 }
 
-std::string AppendCrc32Trailer(const std::string& payload) {
-  std::string body = payload;
-  if (body.empty() || body.back() != '\n') body += '\n';
-  char hex[16];
-  std::snprintf(hex, sizeof(hex), "%08x", Crc32(body));
-  return body + kCrcTrailerPrefix + hex + "\n";
-}
-
-Result<std::string> StripAndVerifyCrc32Trailer(const std::string& content,
-                                               bool require_trailer,
-                                               const std::string& context) {
-  // The trailer is the last non-empty line; find its start.
-  size_t end = content.size();
-  while (end > 0 && content[end - 1] == '\n') --end;
-  size_t line_start = content.rfind('\n', end == 0 ? 0 : end - 1);
-  line_start = (line_start == std::string::npos) ? 0 : line_start + 1;
-  const std::string last_line = content.substr(line_start, end - line_start);
-
-  const size_t prefix_len = sizeof(kCrcTrailerPrefix) - 1;
-  if (last_line.compare(0, prefix_len, kCrcTrailerPrefix) != 0) {
-    if (require_trailer) {
-      return Status::IOError("missing #crc32 trailer in " + context);
-    }
-    return content;
-  }
-  uint32_t expected = 0;
-  {
-    std::istringstream hs(last_line.substr(prefix_len));
-    hs >> std::hex >> expected;
-    if (hs.fail()) {
-      return Status::IOError("malformed #crc32 trailer in " + context);
-    }
-  }
-  const std::string payload = content.substr(0, line_start);
-  uint32_t actual = Crc32(payload);
-  if (actual != expected) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "checksum mismatch (stored %08x, computed %08x) in ",
-                  expected, actual);
-    return Status::IOError(buf + context);
-  }
+std::string AppendCrc32Trailer(std::string payload) {
+  if (payload.empty() || payload.back() != '\n') payload += '\n';
+  char trailer[sizeof(kCrcTrailerPrefix) + 16];
+  std::snprintf(trailer, sizeof(trailer), "%s%08x\n", kCrcTrailerPrefix,
+                Crc32(payload));
+  payload += trailer;
   return payload;
 }
 
-std::string HexDouble(double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(bits));
-  return buf;
+Result<std::string> StripAndVerifyCrc32Trailer(std::string content,
+                                               bool require_trailer,
+                                               const std::string& context) {
+  const LineSpan line = LastLine(content);
+  uint32_t stored = 0;
+  const Trailer state = ParseTrailerLine(
+      std::string_view(content).substr(line.start, line.end - line.start),
+      &stored);
+  if (state == Trailer::kMissing && !require_trailer) return content;
+  if (state != Trailer::kPresent) return TrailerError(state, context);
+  const uint32_t actual = Crc32(content.data(), line.start);
+  if (actual != stored) return ChecksumMismatch(stored, actual, context);
+  content.resize(line.start);
+  return content;
 }
 
-Result<double> ParseHexDouble(const std::string& tok,
-                              const std::string& context) {
-  if (tok.size() != 16 ||
-      tok.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    return Status::IOError("bad double bit pattern '" + tok + "' in " +
-                           context);
+Status VerifyCrc32TrailerFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open for read: " + path);
+  FdCloser closer(fd);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) return Status::IOError("read failed: " + path);
+  const size_t size = st.st_size > 0 ? static_cast<size_t>(st.st_size) : 0;
+
+  // The trailer line, found from the tail: widen the window until the
+  // line's start lies inside it or the window is the whole file.
+  std::string tail;
+  LineSpan line;
+  size_t window = std::min<size_t>(size, 4096);
+  for (;;) {
+    tail.resize(window);
+    if (!PreadFully(fd, tail.data(), window,
+                    static_cast<off_t>(size - window))) {
+      return Status::IOError("read failed: " + path);
+    }
+    line = LastLine(tail);
+    if ((line.end > 0 && line.start > 0) || window == size) break;
+    window = std::min(size, window * 2);
   }
-  uint64_t bits = std::strtoull(tok.c_str(), nullptr, 16);
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
+  uint32_t stored = 0;
+  const Trailer state = ParseTrailerLine(
+      std::string_view(tail).substr(line.start, line.end - line.start),
+      &stored);
+  if (state != Trailer::kPresent) return TrailerError(state, path);
+
+  // Checksum everything before the trailer line, one chunk at a time.
+  const size_t payload_size = size - window + line.start;
+  std::string chunk(size_t{256} << 10, '\0');
+  uint32_t actual = 0;
+  for (size_t at = 0; at < payload_size;) {
+    const size_t n = std::min(chunk.size(), payload_size - at);
+    if (!PreadFully(fd, chunk.data(), n, static_cast<off_t>(at))) {
+      return Status::IOError("read failed: " + path);
+    }
+    actual = Crc32Update(actual, chunk.data(), n);
+    at += n;
+  }
+  if (actual != stored) return ChecksumMismatch(stored, actual, path);
+  return Status::OK();
+}
+
+std::string HexDouble(double d) {
+  std::string out(16, '0');
+  WriteHexDouble(out.data(), d);
+  return out;
+}
+
+void AppendHexDoubles(std::string* out, const double* values, size_t n,
+                      size_t per_line) {
+  const size_t at = out->size();
+  out->resize(at + 17 * n);
+  char* p = out->data() + at;
+  size_t left_on_line = per_line;
+  for (size_t i = 0; i < n; ++i) {
+    p = WriteHexDouble(p, values[i]);
+    if (--left_on_line == 0 || i + 1 == n) {
+      *p++ = '\n';
+      left_on_line = per_line;
+    } else {
+      *p++ = ' ';
+    }
+  }
+}
+
+Result<double> ParseHexDouble(std::string_view tok,
+                              const std::string& context) {
+  double d = 0.0;
+  if (!DecodeHexDouble(tok, &d)) {
+    return Status::IOError("bad double bit pattern '" + std::string(tok) +
+                           "' in " + context);
+  }
   return d;
+}
+
+void TextCursor::SkipSpace() {
+  while (pos_ != end_ && IsSpace(*pos_)) ++pos_;
+}
+
+std::string_view TextCursor::Token() {
+  SkipSpace();
+  const char* begin = pos_;
+  while (pos_ != end_ && !IsSpace(*pos_)) ++pos_;
+  return std::string_view(begin, static_cast<size_t>(pos_ - begin));
+}
+
+bool TextCursor::Int64(int64_t* value) {
+  SkipSpace();
+  const char* p = pos_;
+  const bool negative = p != end_ && *p == '-';
+  if (p != end_ && (*p == '-' || *p == '+')) ++p;
+  // Accumulate the magnitude unsigned; INT64_MIN's is one past INT64_MAX's.
+  const uint64_t limit =
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) + negative;
+  uint64_t magnitude = 0;
+  const char* digits = p;
+  for (; p != end_ && *p >= '0' && *p <= '9'; ++p) {
+    const uint64_t d = static_cast<uint64_t>(*p - '0');
+    if (magnitude > (limit - d) / 10) return false;
+    magnitude = magnitude * 10 + d;
+  }
+  if (p == digits) return false;
+  pos_ = p;
+  *value = negative ? static_cast<int64_t>(0 - magnitude)
+                    : static_cast<int64_t>(magnitude);
+  return true;
+}
+
+bool TextCursor::Int(int* value) {
+  int64_t v = 0;
+  if (!Int64(&v) || v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *value = static_cast<int>(v);
+  return true;
+}
+
+Status TextCursor::HexDoubles(double* values, size_t n,
+                              const std::string& what,
+                              const std::string& context) {
+  for (size_t i = 0; i < n; ++i) {
+    SkipSpace();
+    // The common case: 16 digits, then whitespace or the end of the text.
+    const size_t left = remaining();
+    if (left >= 16 && (left == 16 || IsSpace(pos_[16])) &&
+        DecodeHex16(pos_, &values[i])) {
+      pos_ += 16;
+      continue;
+    }
+    const std::string_view tok = Token();
+    if (tok.empty()) {
+      return Status::IOError("truncated " + what + " in " + context);
+    }
+    auto value = ParseHexDouble(tok, context);
+    GALIGN_RETURN_NOT_OK(value.status());
+    values[i] = value.ValueOrDie();
+  }
+  return Status::OK();
+}
+
+bool TextCursor::Get(char* c) {
+  if (pos_ == end_) return false;
+  *c = *pos_++;
+  return true;
+}
+
+bool TextCursor::Bytes(size_t n, std::string_view* out) {
+  if (n > remaining()) return false;
+  *out = std::string_view(pos_, n);
+  pos_ += n;
+  return true;
 }
 
 namespace internal {
@@ -221,14 +517,7 @@ Result<RetentionReport> ApplyGenerationRetention(
     const std::string name = item.path().filename().string();
     const int gen = gen_of(name);
     if (gen < 0) continue;
-    bool valid = false;
-    auto content = ReadFileToString(dir + "/" + name);
-    if (content.ok()) {
-      valid = StripAndVerifyCrc32Trailer(content.ValueOrDie(),
-                                         /*require_trailer=*/true,
-                                         dir + "/" + name)
-                  .ok();
-    }
+    const bool valid = VerifyCrc32TrailerFile(dir + "/" + name).ok();
     entries.push_back({name, gen, valid});
   }
   if (ec) {

@@ -1,7 +1,7 @@
 // Durable file IO primitives (DESIGN.md §8).
 //
-// Three building blocks shared by model/alignment writers, the trainer
-// checkpointer, and the bench cell cache:
+// Building blocks shared by model/alignment writers, the trainer
+// checkpointer, the serving artifact and the bench cell cache:
 //
 //  * AtomicWriteFile — write-to-temp → fsync → rename, so a reader (or a
 //    process resuming after a crash) never observes a torn file: it sees
@@ -11,11 +11,14 @@
 //    truncation that slipped past the rename barrier (e.g. media faults).
 //  * RetryTransient — seeded, jittered exponential backoff for transient
 //    IO failures, bounded in attempts so persistent faults still surface.
+//  * The text codec — HexDouble / AppendHexDoubles write bit-exact doubles,
+//    TextCursor reads the token stream back without a stream object.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -24,10 +27,15 @@ namespace galign {
 
 /// \brief CRC-32 (IEEE 802.3, reflected) of `data`.
 ///
-/// Software table implementation; check value: Crc32("123456789") ==
-/// 0xCBF43926. Fast enough for the small text payloads we durably persist.
+/// Slicing-by-8: eight table lookups per 8-byte word, the word assembled
+/// byte by byte so no endianness is assumed (DESIGN.md §8). Check value:
+/// Crc32("123456789") == 0xCBF43926.
 uint32_t Crc32(const void* data, size_t size);
-uint32_t Crc32(const std::string& data);
+uint32_t Crc32(std::string_view data);
+
+/// \brief Extends `crc`, the Crc32 of the bytes before `data` (0 for
+/// none), over `size` more bytes: Crc32Update(Crc32(a), b) == Crc32(a + b).
+uint32_t Crc32Update(uint32_t crc, const void* data, size_t size);
 
 /// \brief Durably replaces `path` with `content`.
 ///
@@ -37,7 +45,8 @@ uint32_t Crc32(const std::string& data);
 /// full new content — never a prefix.
 [[nodiscard]] Status AtomicWriteFile(const std::string& path, const std::string& content);
 
-/// \brief Reads the entire file at `path` into a string.
+/// \brief Reads the entire file at `path` into a string (one allocation
+/// sized by fstat, then read(2) until end of file).
 [[nodiscard]] Result<std::string> ReadFileToString(const std::string& path);
 
 /// \brief Bit-exact text encoding of a double: the 16 lowercase hex digits
@@ -48,10 +57,66 @@ uint32_t Crc32(const std::string& data);
 /// durability contract — so every persisted double goes through this.
 std::string HexDouble(double d);
 
+/// \brief Appends `n` values as HexDouble tokens, `per_line` to a line:
+/// single spaces between tokens, a newline after every `per_line`-th and
+/// after the last. Writes exactly 17 * n bytes.
+void AppendHexDoubles(std::string* out, const double* values, size_t n,
+                      size_t per_line);
+
 /// \brief Inverse of HexDouble. IOError naming `context` when `tok` is not
 /// exactly 16 lowercase hex digits.
-[[nodiscard]] Result<double> ParseHexDouble(const std::string& tok,
+[[nodiscard]] Result<double> ParseHexDouble(std::string_view tok,
                                             const std::string& context);
+
+/// \brief Forward-only reader over a text payload: the token grammar of
+/// `std::istream >>` without a stream or a string per token (DESIGN.md
+/// §12).
+///
+/// Whitespace is what `operator>>` skips in the C locale: space, \t, \n,
+/// \v, \f and \r. The cursor only views `text`, which must outlive it.
+class TextCursor {
+ public:
+  explicit TextCursor(std::string_view text)
+      : pos_(text.data()), end_(text.data() + text.size()) {}
+
+  /// Next whitespace-delimited token; empty once the text is exhausted.
+  std::string_view Token();
+  /// True when the next token is exactly `word`.
+  bool Expect(std::string_view word) { return Token() == word; }
+  /// Skips whitespace, then reads an optional sign and decimal digits,
+  /// stopping at the first non-digit as `in >> int64_t` does. False when
+  /// there is no digit or the value overflows.
+  bool Int64(int64_t* value);
+  /// Int64 restricted to the range of int.
+  bool Int(int* value);
+  /// \brief Next `n` tokens as HexDoubles into `values`.
+  ///
+  /// IOError "truncated <what> in <context>" when the text runs out, and
+  /// ParseHexDouble's error at the first token that is not exactly 16
+  /// lowercase hex digits.
+  [[nodiscard]] Status HexDoubles(double* values, size_t n,
+                                  const std::string& what,
+                                  const std::string& context);
+  /// Next raw byte, as istream::get; false at the end.
+  bool Get(char* c);
+  /// Next `n` raw bytes; false, consuming nothing, when fewer remain.
+  bool Bytes(size_t n, std::string_view* out);
+  /// Bytes not yet consumed.
+  size_t remaining() const { return static_cast<size_t>(end_ - pos_); }
+  /// True when `count` items of at least `min_bytes` each can still fit in
+  /// what is left. Parsers ask before allocating room for a count read from
+  /// the payload, so a hostile header cannot request more memory than the
+  /// payload could ever fill.
+  bool Fits(uint64_t count, uint64_t min_bytes) const {
+    return count <= remaining() / min_bytes;
+  }
+
+ private:
+  void SkipSpace();
+
+  const char* pos_;
+  const char* end_;
+};
 
 /// Trailer line marking the CRC of everything before it in the file.
 inline constexpr char kCrcTrailerPrefix[] = "#crc32 ";
@@ -59,18 +124,25 @@ inline constexpr char kCrcTrailerPrefix[] = "#crc32 ";
 /// \brief Returns `payload` with a `#crc32 <hex>` trailer line appended.
 ///
 /// The checksum covers every byte before the trailer line (a trailing
-/// newline is added to the payload if missing, and is covered).
-std::string AppendCrc32Trailer(const std::string& payload);
+/// newline is added to the payload if missing, and is covered). The
+/// payload is extended in place: pass an rvalue to avoid a copy.
+std::string AppendCrc32Trailer(std::string payload);
 
 /// \brief Verifies and removes a `#crc32` trailer.
 ///
-/// Returns the payload without the trailer. When `require_trailer` is
-/// false and no trailer is present the payload is returned as-is (legacy
-/// files written before checksumming); a present-but-wrong trailer is
-/// always an IOError mentioning "checksum mismatch".
-[[nodiscard]] Result<std::string> StripAndVerifyCrc32Trailer(const std::string& content,
-                                               bool require_trailer,
-                                               const std::string& context);
+/// Returns the payload without the trailer, truncated in place (pass an
+/// rvalue to avoid a copy). When `require_trailer` is false and no trailer
+/// is present the payload is returned as-is (legacy files written before
+/// checksumming); a present-but-wrong trailer is always an IOError
+/// mentioning "checksum mismatch".
+[[nodiscard]] Result<std::string> StripAndVerifyCrc32Trailer(
+    std::string content, bool require_trailer, const std::string& context);
+
+/// \brief StripAndVerifyCrc32Trailer(<file at path>, true, path) without
+/// holding the file: the trailer line is found from the file's tail and
+/// the bytes before it are checksummed in fixed-size chunks. OK exactly
+/// when that call would succeed; a failing verdict carries its message.
+[[nodiscard]] Status VerifyCrc32TrailerFile(const std::string& path);
 
 /// \brief Bounded retry schedule for transient IO faults.
 ///
@@ -122,6 +194,10 @@ struct RetentionReport {
 /// (`<dir>/MANIFEST`, `manifest_magic` + survivors newest-first + CRC
 /// trailer) is rewritten before any file is deleted, so a crash mid-pass
 /// never leaves the manifest naming a removed file.
+///
+/// Validity is VerifyCrc32TrailerFile, re-checked for every generation on
+/// every pass (bit rot does not change a file's mtime), streamed so a pass
+/// never holds a whole generation in memory.
 ///
 /// Torn files (missing/wrong CRC trailer) are garbage-collected only when
 /// at least one valid generation survives: when *everything* is torn they

@@ -47,85 +47,116 @@ int EpochOfFileName(const std::string& name) {
 }  // namespace
 
 std::string SerializeCheckpoint(const TrainerCheckpoint& ckpt) {
-  std::ostringstream out;
-  out << kMagic << "\n";
-  out << "epoch " << ckpt.epoch << "\n";
-  out << "lr " << HexDouble(ckpt.lr) << "\n";
-  out << "adam_step " << ckpt.adam_step << "\n";
-  out << "snapshot_loss " << HexDouble(ckpt.snapshot_loss) << "\n";
-  out << "best_loss " << HexDouble(ckpt.best_loss) << "\n";
-  out << "epochs_without_improvement " << ckpt.epochs_without_improvement
-      << "\n";
-  out << "epochs_run " << ckpt.epochs_run << "\n";
-  out << "steps_applied " << ckpt.steps_applied << "\n";
-  out << "rollbacks " << ckpt.rollbacks << "\n";
-  out << "rollback_epochs " << ckpt.rollback_epochs.size();
-  for (int e : ckpt.rollback_epochs) out << " " << e;
-  out << "\n";
-  out << "final_lr " << HexDouble(ckpt.final_lr) << "\n";
-  out << "final_loss " << HexDouble(ckpt.final_loss) << "\n";
-  out << "loss_history " << ckpt.loss_history.size();
-  for (double h : ckpt.loss_history) out << " " << HexDouble(h);
-  out << "\n";
+  std::string out;
+  out.reserve(1024 + 17 * ckpt.loss_history.size() +
+              12 * ckpt.rollback_epochs.size() + ckpt.rng_state.size() +
+              MatrixListBytes(ckpt.weights) + MatrixListBytes(ckpt.adam_m) +
+              MatrixListBytes(ckpt.adam_v) + MatrixListBytes(ckpt.snapshot));
+  auto line = [&out](const char* key, const std::string& value) {
+    out += key;
+    out += ' ';
+    out += value;
+    out += '\n';
+  };
+  out += kMagic;
+  out += '\n';
+  line("epoch", std::to_string(ckpt.epoch));
+  line("lr", HexDouble(ckpt.lr));
+  line("adam_step", std::to_string(ckpt.adam_step));
+  line("snapshot_loss", HexDouble(ckpt.snapshot_loss));
+  line("best_loss", HexDouble(ckpt.best_loss));
+  line("epochs_without_improvement",
+       std::to_string(ckpt.epochs_without_improvement));
+  line("epochs_run", std::to_string(ckpt.epochs_run));
+  line("steps_applied", std::to_string(ckpt.steps_applied));
+  line("rollbacks", std::to_string(ckpt.rollbacks));
+  out += "rollback_epochs " + std::to_string(ckpt.rollback_epochs.size());
+  for (int e : ckpt.rollback_epochs) {
+    out += ' ';
+    out += std::to_string(e);
+  }
+  out += '\n';
+  line("final_lr", HexDouble(ckpt.final_lr));
+  line("final_loss", HexDouble(ckpt.final_loss));
+  out += "loss_history " + std::to_string(ckpt.loss_history.size());
+  for (double h : ckpt.loss_history) {
+    out += ' ';
+    out += HexDouble(h);
+  }
+  out += '\n';
   // mt19937_64 serializes to whitespace-separated integers; token count is
   // recorded so the parser knows how many to consume.
   {
-    std::istringstream count_rng(ckpt.rng_state);
-    std::string tok;
+    TextCursor count_rng(ckpt.rng_state);
     size_t n = 0;
-    while (count_rng >> tok) ++n;
-    out << "rng " << n;
-    if (n) out << " " << ckpt.rng_state;
-    out << "\n";
+    while (!count_rng.Token().empty()) ++n;
+    out += "rng " + std::to_string(n);
+    if (n) out += " " + ckpt.rng_state;
+    out += '\n';
   }
   EmitMatrixList(&out, "weights", ckpt.weights);
   EmitMatrixList(&out, "adam_m", ckpt.adam_m);
   EmitMatrixList(&out, "adam_v", ckpt.adam_v);
   EmitMatrixList(&out, "snapshot", ckpt.snapshot);
-  out << "end\n";
-  return out.str();
+  out += "end\n";
+  return out;
 }
 
 Result<TrainerCheckpoint> ParseCheckpoint(const std::string& payload,
                                           const std::string& context) {
-  std::istringstream in(payload);
-  std::string tok;
-  if (!(in >> tok) || tok != kMagic) {
+  TextCursor in(payload);
+  if (!in.Expect(kMagic)) {
     return Status::IOError("not a galign checkpoint (bad magic) in " +
                            context);
   }
   TrainerCheckpoint ckpt;
 
   auto expect_key = [&](const char* key) -> Status {
-    if (!(in >> tok) || tok != key) {
+    if (!in.Expect(key)) {
       return Status::IOError("expected '" + std::string(key) + "' in " +
                              context);
     }
     return Status::OK();
   };
-  auto read_int = [&](const char* key, auto* value) -> Status {
+  auto bad_integer = [&](const char* key) {
+    return Status::IOError("bad integer for '" + std::string(key) + "' in " +
+                           context);
+  };
+  auto read_int = [&](const char* key, int* value) -> Status {
     GALIGN_RETURN_NOT_OK(expect_key(key));
-    if (!(in >> *value)) {
-      return Status::IOError("bad integer for '" + std::string(key) +
-                             "' in " + context);
-    }
-    return Status::OK();
+    return in.Int(value) ? Status::OK() : bad_integer(key);
+  };
+  auto read_int64 = [&](const char* key, int64_t* value) -> Status {
+    GALIGN_RETURN_NOT_OK(expect_key(key));
+    return in.Int64(value) ? Status::OK() : bad_integer(key);
   };
   auto read_double = [&](const char* key, double* value) -> Status {
     GALIGN_RETURN_NOT_OK(expect_key(key));
-    if (!(in >> tok)) {
-      return Status::IOError("truncated at '" + std::string(key) + "' in " +
+    return in.HexDoubles(value, 1, "at '" + std::string(key) + "'", context);
+  };
+  // A count must be non-negative, under its cap and fit what is left at
+  // `min_bytes` per item before anything is sized by it.
+  auto read_count = [&](const char* key, const char* noun, int64_t cap,
+                        uint64_t min_bytes, size_t* count) -> Status {
+    int64_t n = 0;
+    GALIGN_RETURN_NOT_OK(read_int64(key, &n));
+    if (n < 0 || n > cap) {
+      return Status::IOError(std::string("absurd ") + noun + " count in " +
                              context);
     }
-    auto v = ParseHexDouble(tok, context);
-    GALIGN_RETURN_NOT_OK(v.status());
-    *value = v.ValueOrDie();
+    if (!in.Fits(static_cast<uint64_t>(n), min_bytes)) {
+      return Status::IOError(std::string("'") + key + "' declares " +
+                             std::to_string(n) + " values but only " +
+                             std::to_string(in.remaining()) +
+                             " bytes remain in " + context);
+    }
+    *count = static_cast<size_t>(n);
     return Status::OK();
   };
 
   GALIGN_RETURN_NOT_OK(read_int("epoch", &ckpt.epoch));
   GALIGN_RETURN_NOT_OK(read_double("lr", &ckpt.lr));
-  GALIGN_RETURN_NOT_OK(read_int("adam_step", &ckpt.adam_step));
+  GALIGN_RETURN_NOT_OK(read_int64("adam_step", &ckpt.adam_step));
   GALIGN_RETURN_NOT_OK(read_double("snapshot_loss", &ckpt.snapshot_loss));
   GALIGN_RETURN_NOT_OK(read_double("best_loss", &ckpt.best_loss));
   GALIGN_RETURN_NOT_OK(read_int("epochs_without_improvement",
@@ -135,13 +166,11 @@ Result<TrainerCheckpoint> ParseCheckpoint(const std::string& payload,
   GALIGN_RETURN_NOT_OK(read_int("rollbacks", &ckpt.rollbacks));
 
   size_t count = 0;
-  GALIGN_RETURN_NOT_OK(read_int("rollback_epochs", &count));
-  if (count > 1u << 20) {
-    return Status::IOError("absurd rollback_epochs count in " + context);
-  }
+  GALIGN_RETURN_NOT_OK(
+      read_count("rollback_epochs", "rollback_epochs", 1 << 20, 2, &count));
   ckpt.rollback_epochs.resize(count);
   for (size_t i = 0; i < count; ++i) {
-    if (!(in >> ckpt.rollback_epochs[i])) {
+    if (!in.Int(&ckpt.rollback_epochs[i])) {
       return Status::IOError("truncated rollback_epochs in " + context);
     }
   }
@@ -149,34 +178,20 @@ Result<TrainerCheckpoint> ParseCheckpoint(const std::string& payload,
   GALIGN_RETURN_NOT_OK(read_double("final_lr", &ckpt.final_lr));
   GALIGN_RETURN_NOT_OK(read_double("final_loss", &ckpt.final_loss));
 
-  GALIGN_RETURN_NOT_OK(read_int("loss_history", &count));
-  if (count > 1u << 24) {
-    return Status::IOError("absurd loss_history count in " + context);
-  }
+  GALIGN_RETURN_NOT_OK(
+      read_count("loss_history", "loss_history", 1 << 24, 16, &count));
   ckpt.loss_history.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    if (!(in >> tok)) {
-      return Status::IOError("truncated loss_history in " + context);
-    }
-    auto v = ParseHexDouble(tok, context);
-    GALIGN_RETURN_NOT_OK(v.status());
-    ckpt.loss_history[i] = v.ValueOrDie();
-  }
+  GALIGN_RETURN_NOT_OK(
+      in.HexDoubles(ckpt.loss_history.data(), count, "loss_history", context));
 
-  GALIGN_RETURN_NOT_OK(read_int("rng", &count));
-  if (count > 1u << 16) {
-    return Status::IOError("absurd rng token count in " + context);
-  }
-  {
-    std::ostringstream rng;
-    for (size_t i = 0; i < count; ++i) {
-      if (!(in >> tok)) {
-        return Status::IOError("truncated rng state in " + context);
-      }
-      if (i) rng << " ";
-      rng << tok;
+  GALIGN_RETURN_NOT_OK(read_count("rng", "rng token", 1 << 16, 2, &count));
+  for (size_t i = 0; i < count; ++i) {
+    const std::string_view tok = in.Token();
+    if (tok.empty()) {
+      return Status::IOError("truncated rng state in " + context);
     }
-    ckpt.rng_state = rng.str();
+    if (i) ckpt.rng_state += ' ';
+    ckpt.rng_state += tok;
   }
 
   GALIGN_RETURN_NOT_OK(ParseMatrixList(&in, "weights", &ckpt.weights, context));
@@ -185,7 +200,7 @@ Result<TrainerCheckpoint> ParseCheckpoint(const std::string& payload,
   GALIGN_RETURN_NOT_OK(
       ParseMatrixList(&in, "snapshot", &ckpt.snapshot, context));
 
-  if (!(in >> tok) || tok != "end") {
+  if (!in.Expect("end")) {
     return Status::IOError("missing 'end' sentinel in " + context);
   }
   return ckpt;
@@ -288,7 +303,7 @@ Result<TrainerCheckpoint> CheckpointManager::LoadLatest() const {
       note(content.status().message());
       continue;
     }
-    auto payload = StripAndVerifyCrc32Trailer(content.ValueOrDie(),
+    auto payload = StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
                                               /*require_trailer=*/true, path);
     if (!payload.ok()) {
       GALIGN_LOG(Warning) << "Checkpoint " << path << " failed validation ("

@@ -1,5 +1,6 @@
 #include "core/model_io.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -32,50 +33,59 @@ Result<Activation> ParseActivation(const std::string& name) {
 
 }  // namespace
 
-void EmitMatrixList(std::ostringstream* out, const char* key,
+void EmitMatrixList(std::string* out, const char* key,
                     const std::vector<Matrix>& ms) {
-  *out << key << " " << ms.size() << "\n";
+  *out += key;
+  *out += ' ';
+  *out += std::to_string(ms.size());
+  *out += '\n';
   for (const Matrix& m : ms) {
-    *out << m.rows() << " " << m.cols() << "\n";
-    for (int64_t i = 0; i < m.size(); ++i) {
-      if (i) *out << (i % 8 == 0 ? "\n" : " ");
-      *out << HexDouble(m.data()[i]);
-    }
-    if (m.size()) *out << "\n";
+    *out += std::to_string(m.rows());
+    *out += ' ';
+    *out += std::to_string(m.cols());
+    *out += '\n';
+    AppendHexDoubles(out, m.data(), static_cast<size_t>(m.size()), 8);
   }
 }
 
-Status ParseMatrixList(std::istringstream* in, const char* key,
+size_t MatrixListBytes(const std::vector<Matrix>& ms) {
+  // Header lines hold a key and at most three 20-digit integers.
+  size_t bytes = 96;
+  for (const Matrix& m : ms) bytes += 48 + 17 * static_cast<size_t>(m.size());
+  return bytes;
+}
+
+Status ParseMatrixList(TextCursor* in, const char* key,
                        std::vector<Matrix>* out, const std::string& context) {
-  std::string tok;
-  size_t count = 0;
-  if (!(*in >> tok) || tok != key || !(*in >> count) || count > 4096) {
+  int64_t count = -1;
+  if (!in->Expect(key) || !in->Int64(&count) || count < 0 || count > 4096) {
     return Status::IOError("expected '" + std::string(key) +
                            " <count>' in " + context);
   }
   out->clear();
-  out->reserve(count);
-  for (size_t k = 0; k < count; ++k) {
+  out->reserve(static_cast<size_t>(count));
+  for (int64_t k = 0; k < count; ++k) {
     int64_t rows = -1, cols = -1;
     // Shape caps bound the allocation a corrupt header could request
     // before any payload validation runs.
-    if (!(*in >> rows >> cols) || rows < 0 || cols < 0 ||
+    if (!in->Int64(&rows) || !in->Int64(&cols) || rows < 0 || cols < 0 ||
         rows > (int64_t{1} << 30) || cols > (int64_t{1} << 30) ||
         rows * cols > (int64_t{1} << 32)) {
       return Status::IOError("bad matrix shape under '" + std::string(key) +
                              "' in " + context);
     }
-    Matrix m(rows, cols);
-    for (int64_t i = 0; i < m.size(); ++i) {
-      if (!(*in >> tok)) {
-        return Status::IOError("truncated matrix under '" + std::string(key) +
-                               "' in " + context);
-      }
-      auto v = ParseHexDouble(tok, context);
-      GALIGN_RETURN_NOT_OK(v.status());
-      m.data()[i] = v.ValueOrDie();
+    // Each value is a 16-digit token, so the payload bounds the shape too.
+    if (!in->Fits(static_cast<uint64_t>(rows * cols), 16)) {
+      return Status::IOError(
+          "matrix " + std::to_string(k) + " under '" + std::string(key) +
+          "' declares " + std::to_string(rows) + "x" + std::to_string(cols) +
+          " values but only " + std::to_string(in->remaining()) +
+          " bytes remain in " + context);
     }
-    out->push_back(std::move(m));
+    Matrix& m = out->emplace_back(rows, cols);
+    GALIGN_RETURN_NOT_OK(in->HexDoubles(
+        m.data(), static_cast<size_t>(m.size()),
+        "matrix under '" + std::string(key) + "'", context));
   }
   return Status::OK();
 }
@@ -121,7 +131,7 @@ Result<MultiOrderGcn> LoadGcnModel(const std::string& path) {
   GALIGN_RETURN_NOT_OK(content.status());
   // Legacy files predate the trailer, so it is optional; when present it
   // must verify.
-  auto payload = StripAndVerifyCrc32Trailer(content.ValueOrDie(),
+  auto payload = StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
                                             /*require_trailer=*/false, path);
   GALIGN_RETURN_NOT_OK(payload.status());
   return ParseGcnModel(payload.ValueOrDie(), path);
@@ -171,6 +181,31 @@ Result<MultiOrderGcn> ParseGcnModel(const std::string& payload,
     return Status::IOError("malformed model header (expected layers in "
                            "[1, 1024] and positive dims) in " +
                            path + ": " + header);
+  }
+  // So do the dims: every weight takes at least one byte of what follows
+  // the header, so a shape the payload cannot hold is rejected before the
+  // model is allocated (the products are checked without overflowing).
+  {
+    const uint64_t left = payload.size() - std::min(payload.size(),
+                                                    header.size() + 1);
+    uint64_t budget = left;
+    auto take = [&budget](uint64_t rows, uint64_t cols) {
+      if (rows > budget / cols) return false;
+      budget -= rows * cols;
+      return true;
+    };
+    const uint64_t in_dim = static_cast<uint64_t>(input_dim);
+    const uint64_t dim = static_cast<uint64_t>(embedding_dim);
+    bool fits = take(in_dim, dim);
+    for (int64_t l = 1; l < layers && fits; ++l) fits = take(dim, dim);
+    if (!fits) {
+      return Status::IOError(
+          "model header declares " + std::to_string(layers) +
+          " layers of input_dim=" + std::to_string(input_dim) +
+          " embedding_dim=" + std::to_string(embedding_dim) +
+          ", more weights than the " + std::to_string(left) +
+          " bytes after it hold, in " + path);
+    }
   }
   auto activation = ParseActivation(activation_name);
   GALIGN_RETURN_NOT_OK(activation.status());

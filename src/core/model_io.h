@@ -4,26 +4,30 @@
 // architecture so loading validates shape compatibility.
 #pragma once
 
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/durable_io.h"
 #include "common/status.h"
 #include "core/gcn.h"
 #include "la/matrix.h"
 
 namespace galign {
 
-/// \brief Emits `key <count>` then each matrix as `rows cols` + hex-encoded
+/// \brief Appends `key <count>` then each matrix as `rows cols` + hex-encoded
 /// (bit-exact) doubles — the shared durable matrix-list encoding used by
 /// trainer checkpoints and the serving artifact.
-void EmitMatrixList(std::ostringstream* out, const char* key,
+void EmitMatrixList(std::string* out, const char* key,
                     const std::vector<Matrix>& ms);
 
-/// \brief Inverse of EmitMatrixList. Every defect (wrong key, absurd or
-/// overflowing shape, truncated or malformed payload) is an IOError naming
-/// `context`.
-[[nodiscard]] Status ParseMatrixList(std::istringstream* in, const char* key,
+/// Upper bound on the bytes EmitMatrixList appends for `ms` (for reserve).
+size_t MatrixListBytes(const std::vector<Matrix>& ms);
+
+/// \brief Inverse of EmitMatrixList, reading from `in`. Every defect (wrong
+/// key, absurd or overflowing shape, a shape with more values than the
+/// bytes left could hold, truncated or malformed payload) is an IOError
+/// naming `context`; no matrix is allocated before its shape is checked.
+[[nodiscard]] Status ParseMatrixList(TextCursor* in, const char* key,
                                      std::vector<Matrix>* out,
                                      const std::string& context);
 

@@ -46,30 +46,34 @@ int GenerationOfFileName(const std::string& name) {
 
 // Reads `key <nbytes>\n` then exactly nbytes of raw payload (the embedded
 // model / ANN-recipe sections, whose bodies are not token streams).
-Status ReadRawSection(std::istringstream* in, const char* key,
-                      std::string* out, const std::string& context) {
-  std::string tok;
+Status ReadRawSection(TextCursor* in, const char* key, std::string_view* out,
+                      const std::string& context) {
   int64_t nbytes = -1;
-  if (!(*in >> tok) || tok != key || !(*in >> nbytes) || nbytes < 0 ||
+  if (!in->Expect(key) || !in->Int64(&nbytes) || nbytes < 0 ||
       nbytes > (int64_t{1} << 30)) {
     return Status::IOError("expected '" + std::string(key) +
                            " <nbytes>' in " + context);
   }
-  if (in->get() != '\n') {
+  char newline = 0;
+  if (!in->Get(&newline) || newline != '\n') {
     return Status::IOError("missing newline after '" + std::string(key) +
                            "' header in " + context);
   }
-  out->resize(static_cast<size_t>(nbytes));
-  if (nbytes > 0 && !in->read(out->data(), nbytes)) {
+  if (!in->Bytes(static_cast<size_t>(nbytes), out)) {
     return Status::IOError("truncated '" + std::string(key) + "' section in " +
                            context);
   }
   return Status::OK();
 }
 
-void EmitRawSection(std::ostringstream* out, const char* key,
+void EmitRawSection(std::string* out, const char* key,
                     const std::string& payload) {
-  *out << key << " " << payload.size() << "\n" << payload << "\n";
+  *out += key;
+  *out += ' ';
+  *out += std::to_string(payload.size());
+  *out += '\n';
+  *out += payload;
+  *out += '\n';
 }
 
 }  // namespace
@@ -148,61 +152,66 @@ uint64_t AlignmentIndex::MemoryBytes() const {
 }
 
 std::string AlignmentIndex::Serialize() const {
-  std::ostringstream out;
-  out << kArtifactMagic << "\n";
-  out << "theta " << theta_.size();
-  for (double t : theta_) out << " " << HexDouble(t);
-  out << "\n";
-  EmitRawSection(&out, "model", SerializeGcnModel(*gcn_));
+  const std::string model = SerializeGcnModel(*gcn_);
+  const std::string recipe = SerializeAnnRecipe(*ann_);
+  const size_t slots = anchors_.index.size();
+  std::string out;
+  // Room for every section (an anchor id takes at most 20 digits and a
+  // separator) plus the CRC trailer the store appends, so neither the
+  // writer nor the framing ever reallocates.
+  out.reserve(256 + 17 * theta_.size() + model.size() + recipe.size() +
+              MatrixListBytes(source_layers_) +
+              MatrixListBytes(target_layers_) + 21 * slots +
+              17 * anchors_.score.size());
+  out += kArtifactMagic;
+  out += "\ntheta ";
+  out += std::to_string(theta_.size());
+  for (double t : theta_) {
+    out += ' ';
+    out += HexDouble(t);
+  }
+  out += '\n';
+  EmitRawSection(&out, "model", model);
   EmitMatrixList(&out, "source_layers", source_layers_);
   EmitMatrixList(&out, "target_layers", target_layers_);
-  EmitRawSection(&out, "ann", SerializeAnnRecipe(*ann_));
-  out << "anchors " << anchors_.rows << " " << anchors_.cols << " "
-      << anchors_.k << " " << anchors_.rows_computed << "\n";
-  for (size_t i = 0; i < anchors_.index.size(); ++i) {
-    if (i) out << (i % 16 == 0 ? "\n" : " ");
-    out << anchors_.index[i];
+  EmitRawSection(&out, "ann", recipe);
+  out += "anchors " + std::to_string(anchors_.rows) + " " +
+         std::to_string(anchors_.cols) + " " + std::to_string(anchors_.k) +
+         " " + std::to_string(anchors_.rows_computed) + "\n";
+  for (size_t i = 0; i < slots; ++i) {
+    if (i) out += i % 16 == 0 ? '\n' : ' ';
+    out += std::to_string(anchors_.index[i]);
   }
-  if (!anchors_.index.empty()) out << "\n";
-  for (size_t i = 0; i < anchors_.score.size(); ++i) {
-    if (i) out << (i % 8 == 0 ? "\n" : " ");
-    out << HexDouble(anchors_.score[i]);
-  }
-  if (!anchors_.score.empty()) out << "\n";
-  out << "end\n";
-  return out.str();
+  if (slots) out += '\n';
+  AppendHexDoubles(&out, anchors_.score.data(), anchors_.score.size(), 8);
+  out += "end\n";
+  return out;
 }
 
 Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndex::Parse(
     const std::string& payload, const std::string& context,
     const RunContext& ctx) {
-  std::istringstream in(payload);
-  std::string tok;
-  if (!(in >> tok) || tok != kArtifactMagic) {
+  TextCursor in(payload);
+  if (!in.Expect(kArtifactMagic)) {
     return Status::IOError("not an alignment artifact (bad magic) in " +
                            context);
   }
 
   std::shared_ptr<AlignmentIndex> out(new AlignmentIndex());
 
-  size_t theta_count = 0;
-  if (!(in >> tok) || tok != "theta" || !(in >> theta_count) ||
-      theta_count == 0 || theta_count > 4096) {
+  int64_t theta_count = 0;
+  if (!in.Expect("theta") || !in.Int64(&theta_count) || theta_count <= 0 ||
+      theta_count > 4096) {
     return Status::IOError("expected 'theta <count>' in " + context);
   }
-  out->theta_.resize(theta_count);
-  for (size_t i = 0; i < theta_count; ++i) {
-    if (!(in >> tok)) {
-      return Status::IOError("truncated theta in " + context);
-    }
-    auto v = ParseHexDouble(tok, context);
-    GALIGN_RETURN_NOT_OK(v.status());
-    out->theta_[i] = v.ValueOrDie();
-  }
+  out->theta_.resize(static_cast<size_t>(theta_count));
+  GALIGN_RETURN_NOT_OK(
+      in.HexDoubles(out->theta_.data(), out->theta_.size(), "theta", context));
 
-  std::string model_payload;
+  std::string_view model_payload;
   GALIGN_RETURN_NOT_OK(ReadRawSection(&in, "model", &model_payload, context));
-  auto gcn = ParseGcnModel(model_payload, context + " model section");
+  auto gcn = ParseGcnModel(std::string(model_payload),
+                           context + " model section");
   GALIGN_RETURN_NOT_OK(gcn.status());
   out->gcn_ = std::make_unique<MultiOrderGcn>(std::move(gcn.ValueOrDie()));
 
@@ -210,8 +219,9 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndex::Parse(
       ParseMatrixList(&in, "source_layers", &out->source_layers_, context));
   GALIGN_RETURN_NOT_OK(
       ParseMatrixList(&in, "target_layers", &out->target_layers_, context));
-  if (out->source_layers_.size() != theta_count ||
-      out->target_layers_.size() != theta_count) {
+  const size_t layer_count = static_cast<size_t>(theta_count);
+  if (out->source_layers_.size() != layer_count ||
+      out->target_layers_.size() != layer_count) {
     return Status::IOError(
         "layer count disagrees with theta width in " + context + ": theta " +
         std::to_string(theta_count) + ", source " +
@@ -233,33 +243,36 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndex::Parse(
     }
   }
 
-  std::string ann_payload;
+  std::string_view ann_payload;
   GALIGN_RETURN_NOT_OK(ReadRawSection(&in, "ann", &ann_payload, context));
 
   TopKAlignment& a = out->anchors_;
-  if (!(in >> tok) || tok != "anchors" || !(in >> a.rows >> a.cols >> a.k >>
-                                            a.rows_computed) ||
-      a.rows < 0 || a.cols < 0 || a.k < 0 || a.rows_computed != a.rows ||
+  if (!in.Expect("anchors") || !in.Int64(&a.rows) || !in.Int64(&a.cols) ||
+      !in.Int64(&a.k) || !in.Int64(&a.rows_computed) || a.rows < 0 ||
+      a.cols < 0 || a.k < 0 || a.rows_computed != a.rows ||
       a.rows > (int64_t{1} << 30) || a.k > (int64_t{1} << 20) ||
       a.rows * a.k > (int64_t{1} << 32)) {
     return Status::IOError("bad 'anchors' header in " + context);
   }
-  a.index.resize(static_cast<size_t>(a.rows * a.k));
-  a.score.resize(static_cast<size_t>(a.rows * a.k));
-  for (size_t i = 0; i < a.index.size(); ++i) {
-    if (!(in >> a.index[i]) || a.index[i] < -1 || a.index[i] >= a.cols) {
+  // Each slot holds an id (a digit and a separator at least) and a
+  // 16-digit score, so the bytes left bound the table before it is sized.
+  const int64_t anchor_slots = a.rows * a.k;
+  if (!in.Fits(static_cast<uint64_t>(anchor_slots), 2 + 16)) {
+    return Status::IOError(
+        "'anchors' header declares " + std::to_string(a.rows) + "x" +
+        std::to_string(a.k) + " slots but only " +
+        std::to_string(in.remaining()) + " bytes remain in " + context);
+  }
+  a.index.resize(static_cast<size_t>(anchor_slots));
+  a.score.resize(static_cast<size_t>(anchor_slots));
+  for (int64_t& id : a.index) {
+    if (!in.Int64(&id) || id < -1 || id >= a.cols) {
       return Status::IOError("bad anchor index in " + context);
     }
   }
-  for (size_t i = 0; i < a.score.size(); ++i) {
-    if (!(in >> tok)) {
-      return Status::IOError("truncated anchor scores in " + context);
-    }
-    auto v = ParseHexDouble(tok, context);
-    GALIGN_RETURN_NOT_OK(v.status());
-    a.score[i] = v.ValueOrDie();
-  }
-  if (!(in >> tok) || tok != "end") {
+  GALIGN_RETURN_NOT_OK(in.HexDoubles(a.score.data(), a.score.size(),
+                                     "anchor scores", context));
+  if (!in.Expect("end")) {
     return Status::IOError("missing 'end' sentinel in " + context);
   }
 
@@ -272,7 +285,8 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndex::Parse(
   out->queries_ = std::move(queries.ValueOrDie());
   auto base = ConcatLayerRows(out->target_layers_, nullptr, ctx.budget());
   GALIGN_RETURN_NOT_OK(base.status());
-  auto ann = RebuildAnnIndex(ann_payload, std::move(base.ValueOrDie()), ctx,
+  auto ann = RebuildAnnIndex(std::string(ann_payload),
+                             std::move(base.ValueOrDie()), ctx,
                              context + " ann section");
   GALIGN_RETURN_NOT_OK(ann.status());
   out->ann_ = std::move(ann.ValueOrDie());
@@ -382,7 +396,7 @@ AlignmentIndexStore::LoadGeneration(int gen, const RunContext& ctx) const {
                             " unreadable: " +
                             std::string(content.status().message()));
   }
-  auto payload = StripAndVerifyCrc32Trailer(content.ValueOrDie(),
+  auto payload = StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
                                             /*require_trailer=*/true, path);
   GALIGN_RETURN_NOT_OK(payload.status());
   return AlignmentIndex::Parse(payload.ValueOrDie(), path, ctx);
@@ -413,7 +427,7 @@ Result<std::shared_ptr<const AlignmentIndex>> AlignmentIndexStore::LoadLatest(
       note(content.status().message());
       continue;
     }
-    auto payload = StripAndVerifyCrc32Trailer(content.ValueOrDie(),
+    auto payload = StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
                                               /*require_trailer=*/true, path);
     if (!payload.ok()) {
       GALIGN_LOG(Warning) << "Artifact " << path << " failed validation ("

@@ -248,7 +248,8 @@ TEST_F(CheckpointResumeTest, AllCheckpointsCorruptMeansFreshStart) {
   ExpectBitIdentical(TrainWeights(plain, pair), weights);
 }
 
-TEST_F(CheckpointResumeTest, CheckpointSerializationRoundTrips) {
+// A checkpoint with every field set; `engine` ends at the state it records.
+TrainerCheckpoint SampleCheckpoint(std::mt19937_64* engine) {
   TrainerCheckpoint ckpt;
   ckpt.epoch = 7;
   ckpt.lr = 0.01 / 3.0;  // not exactly representable: exercises hex codec
@@ -271,14 +272,18 @@ TEST_F(CheckpointResumeTest, CheckpointSerializationRoundTrips) {
   ckpt.rollback_epochs = {3};
   ckpt.final_lr = 0.005;
   ckpt.final_loss = 1.5;
-  std::mt19937_64 engine(123);
-  engine.discard(17);
-  {
-    std::ostringstream os;
-    os << engine;
-    ckpt.rng_state = os.str();
-  }
+  engine->seed(123);
+  engine->discard(17);
+  std::ostringstream os;
+  os << *engine;
+  ckpt.rng_state = os.str();
+  return ckpt;
+}
 
+TEST_F(CheckpointResumeTest, CheckpointSerializationRoundTrips) {
+  std::mt19937_64 engine;
+  const TrainerCheckpoint ckpt = SampleCheckpoint(&engine);
+  const Matrix& w = ckpt.weights[0];
   auto parsed = ParseCheckpoint(SerializeCheckpoint(ckpt), "test");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const TrainerCheckpoint& back = parsed.ValueOrDie();
@@ -296,6 +301,30 @@ TEST_F(CheckpointResumeTest, CheckpointSerializationRoundTrips) {
   std::istringstream is(back.rng_state);
   is >> restored;
   EXPECT_EQ(restored(), engine());
+}
+
+// Counts and shapes within their caps but beyond what the payload holds are
+// typed IOErrors naming the field, rejected before anything is sized.
+TEST_F(CheckpointResumeTest, ParseRejectsCountsLargerThanPayload) {
+  std::mt19937_64 engine;
+  const std::string payload = SerializeCheckpoint(SampleCheckpoint(&engine));
+  const std::pair<std::string, std::string> hostile[] = {
+      {"loss_history 3 ", "loss_history 16000000 "},
+      {"rollback_epochs 1 ", "rollback_epochs 1000000 "},
+      {"weights 1\n2 3\n", "weights 1\n65536 65536\n"},
+  };
+  for (const auto& [from, to] : hostile) {
+    std::string bytes = payload;
+    const size_t at = bytes.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bytes.replace(at, from.size(), to);
+    auto r = ParseCheckpoint(bytes, "hostile");
+    ASSERT_FALSE(r.ok()) << to;
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+    const std::string field = from.substr(0, from.find(' '));
+    EXPECT_NE(r.status().message().find("'" + field + "'"), std::string::npos)
+        << r.status().message();
+  }
 }
 
 TEST_F(CheckpointResumeTest, ManagerReportsNotFoundOnEmptyDir) {

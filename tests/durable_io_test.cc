@@ -6,8 +6,13 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <random>
+#include <sstream>
 #include <string>
+#include <vector>
 
 namespace galign {
 namespace {
@@ -29,6 +34,170 @@ TEST_F(DurableIoTest, Crc32MatchesCheckValue) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
   EXPECT_NE(Crc32("abc"), Crc32("abd"));
+}
+
+// The byte-at-a-time definition the slicing-by-8 Crc32 must reproduce.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST_F(DurableIoTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  std::mt19937_64 gen(42);
+  std::vector<unsigned char> buf(64 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(gen());
+  // Every alignment of the 8-byte words against the buffer and every tail
+  // length the word loop leaves behind.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      EXPECT_EQ(Crc32(p, len), ReferenceCrc32(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  std::vector<unsigned char> big(size_t{1} << 20);
+  for (unsigned char& b : big) b = static_cast<unsigned char>(gen());
+  const uint32_t want = ReferenceCrc32(big.data(), big.size());
+  EXPECT_EQ(Crc32(big.data(), big.size()), want);
+  // The incremental form over uneven chunks gives the same value.
+  uint32_t crc = 0;
+  for (size_t at = 0, step = 1; at < big.size(); step = step * 3 + 1) {
+    const size_t n = std::min(step, big.size() - at);
+    crc = Crc32Update(crc, big.data() + at, n);
+    at += n;
+  }
+  EXPECT_EQ(crc, want);
+}
+
+TEST_F(DurableIoTest, ReadFileToStringReadsEmptyAndLargeFiles) {
+  ASSERT_TRUE(AtomicWriteFile(Path("empty"), "").ok());
+  auto empty = ReadFileToString(Path("empty"));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty.ValueOrDie(), "");
+  std::string big(3 * 4096 + 17, 'x');
+  for (size_t i = 0; i < big.size(); i += 97) big[i] = '\n';
+  ASSERT_TRUE(AtomicWriteFile(Path("big"), big).ok());
+  auto back = ReadFileToString(Path("big"));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.ValueOrDie(), big);
+}
+
+// Retention's streamed check must reach StripAndVerifyCrc32Trailer's
+// verdict, and message, on every shape of file a generation dir can hold.
+TEST_F(DurableIoTest, StreamedTrailerCheckMatchesInMemoryVerdict) {
+  const std::string good = AppendCrc32Trailer("alpha\nbeta gamma\ndelta\n");
+  std::string flipped = good;
+  flipped[7] ^= 0x04;
+  std::string long_line(3 * 4096 + 5, 'y');
+  const std::string many_chunks =
+      AppendCrc32Trailer(std::string(size_t{600} << 10, 'z'));
+  std::string many_chunks_flipped = many_chunks;
+  many_chunks_flipped[size_t{300} << 10] ^= 0x01;
+  const std::vector<std::pair<std::string, std::string>> files = {
+      {"valid", good},
+      {"flipped byte", flipped},
+      {"truncated", good.substr(0, good.size() / 2)},
+      {"truncated payload", good.substr(0, 4) + good.substr(9)},
+      {"extra trailing newlines", good + "\n\n\n"},
+      {"missing trailer", "alpha\nbeta\n"},
+      {"malformed trailer", "alpha\n#crc32 zz\n"},
+      {"trailer with junk", "alpha\n#crc32 12ab!\n"},
+      {"empty", ""},
+      {"only newlines", "\n\n\n"},
+      {"one line", "#crc32 00000000"},
+      {"long last line", AppendCrc32Trailer(long_line) + long_line},
+      {"long valid payload", AppendCrc32Trailer(long_line)},
+      {"many chunks", many_chunks},
+      {"flip past the first chunk", many_chunks_flipped},
+      // Both widen the tail window past its first read.
+      {"newline run longer than the window", good + std::string(9000, '\n')},
+      {"trailer longer than the window",
+       "alpha\n#crc32 " + std::string(9000, '0') + "1\n"},
+  };
+  for (const auto& [name, bytes] : files) {
+    const std::string path = Path("gen");
+    ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
+    const Status streamed = VerifyCrc32TrailerFile(path);
+    auto whole = StripAndVerifyCrc32Trailer(bytes, /*require_trailer=*/true,
+                                            path);
+    EXPECT_EQ(streamed.ok(), whole.ok()) << name;
+    EXPECT_EQ(streamed.ToString(), whole.status().ToString()) << name;
+  }
+  EXPECT_FALSE(VerifyCrc32TrailerFile(Path("no such file")).ok());
+}
+
+// The cursor is the token grammar the parsers used through istringstream:
+// the same tokens and integers come out of any run of the six whitespace
+// characters operator>> skips.
+TEST_F(DurableIoTest, TextCursorTokenizesLikeIstream) {
+  const std::string text =
+      " \t\n alpha\v\f12\r\n-7 +8\t\t\r\n\n3fe0000000000000 \n\r end\t";
+  std::istringstream ref(text);
+  TextCursor cur(text);
+  std::string word;
+  ASSERT_TRUE(ref >> word);
+  EXPECT_EQ(cur.Token(), word);
+  for (int i = 0; i < 3; ++i) {
+    int64_t want = 0, got = 0;
+    ASSERT_TRUE(ref >> want);
+    ASSERT_TRUE(cur.Int64(&got));
+    EXPECT_EQ(got, want);
+  }
+  ASSERT_TRUE(ref >> word);
+  ASSERT_EQ(word, "3fe0000000000000");
+  double d = 0.0;
+  ASSERT_TRUE(cur.HexDoubles(&d, 1, "value", "test").ok());
+  EXPECT_EQ(d, 0.5);
+  ASSERT_TRUE(ref >> word);
+  EXPECT_TRUE(cur.Expect(word));
+  EXPECT_FALSE(ref >> word);
+  EXPECT_TRUE(cur.Token().empty());
+}
+
+TEST_F(DurableIoTest, TextCursorRejectsMalformedNumbers) {
+  int64_t v = 0;
+  TextCursor overflow("9223372036854775808");
+  EXPECT_FALSE(overflow.Int64(&v));
+  TextCursor lowest("-9223372036854775808");
+  ASSERT_TRUE(lowest.Int64(&v));
+  EXPECT_EQ(v, INT64_MIN);
+  TextCursor no_digits(" -x");
+  EXPECT_FALSE(no_digits.Int64(&v));
+  // Like operator>>, an integer stops at the first non-digit.
+  TextCursor glued("12ab");
+  ASSERT_TRUE(glued.Int64(&v));
+  EXPECT_EQ(v, 12);
+  EXPECT_EQ(glued.Token(), "ab");
+  int narrow = 0;
+  TextCursor wide("2147483648");
+  EXPECT_FALSE(wide.Int(&narrow));
+  double d[2] = {0.0, 0.0};
+  for (const char* tok : {"3FE0000000000000", "3fe000000000000",
+                          "3fe00000000000000", "3fe000000000000g",
+                          "3fe0000000000000x"}) {
+    const std::string text = std::string("3ff0000000000000\n") + tok;
+    TextCursor cur(text);
+    const Status st = cur.HexDoubles(d, 2, "pair", "test");
+    EXPECT_EQ(st.message(), "bad double bit pattern '" + std::string(tok) +
+                                "' in test");
+    EXPECT_EQ(d[0], 1.0);
+  }
+  TextCursor short_text("3ff0000000000000 ");
+  EXPECT_EQ(short_text.HexDoubles(d, 2, "pair", "test").message(),
+            "truncated pair in test");
+  TextCursor raw("ab");
+  std::string_view bytes;
+  EXPECT_FALSE(raw.Bytes(3, &bytes));
+  ASSERT_TRUE(raw.Bytes(2, &bytes));
+  EXPECT_EQ(bytes, "ab");
+  EXPECT_TRUE(raw.Fits(0, 16));
+  EXPECT_FALSE(raw.Fits(1, 1));
 }
 
 TEST_F(DurableIoTest, AtomicWriteCreatesThenReplaces) {

@@ -259,6 +259,88 @@ const std::string& GoldenArtifactPayload() {
   return *payload;
 }
 
+/// `payload` with the line `skip_lines` below the first `section` replaced.
+std::string RewriteLine(const std::string& payload, const std::string& section,
+                        int skip_lines, const std::string& replacement) {
+  size_t at = payload.find(section);
+  for (int i = 0; i < skip_lines && at != std::string::npos; ++i) {
+    at = payload.find('\n', at) + 1;
+  }
+  const size_t end = at == std::string::npos ? at : payload.find('\n', at);
+  if (end == std::string::npos) return payload;
+  return payload.substr(0, at) + replacement + payload.substr(end);
+}
+
+/// Rewrites one size header of the golden payload (a layer shape, the
+/// anchors header or the model dims) to a large value inside every cap,
+/// re-trailers the CRC, and asserts a typed IOError from Parse and from the
+/// store: a CRC-valid artifact must never allocate off a header its bytes
+/// cannot back.
+FuzzFailure FuzzHostileHeader(const std::string& golden,
+                              const std::string& tmp_prefix, Rng* rng) {
+  auto big = [rng](int lo_bits, int hi_bits) {
+    const int64_t lo = int64_t{1} << lo_bits;
+    return std::to_string(lo + rng->UniformInt((int64_t{1} << hi_bits) - lo));
+  };
+  std::string bytes;
+  switch (rng->UniformInt(4)) {
+    case 0:
+    case 1: {
+      const char* section =
+          rng->Bernoulli(0.5) ? "source_layers " : "target_layers ";
+      bytes = RewriteLine(golden, section, 1, big(14, 16) + " " + big(14, 16));
+      break;
+    }
+    case 2: {
+      const std::string rows = big(20, 22);
+      bytes = RewriteLine(golden, "anchors ", 0,
+                          "anchors " + rows + " 40 " + big(8, 10) + " " + rows);
+      break;
+    }
+    default: {
+      // The model section is length-framed: keep its byte count in step.
+      const size_t key = golden.find("\nmodel ") + 1;
+      const size_t body = golden.find('\n', key) + 1;
+      const size_t header_end = golden.find('\n', body);
+      const int64_t nbytes =
+          std::strtoll(golden.c_str() + key + 6, nullptr, 10);
+      const std::string header = "galign-gcn-v1 layers=2 input_dim=" +
+                                 big(20, 32) + " embedding_dim=" +
+                                 big(20, 32) + " activation=tanh";
+      bytes = golden.substr(0, key) + "model " +
+              std::to_string(nbytes + static_cast<int64_t>(header.size()) -
+                             static_cast<int64_t>(header_end - body)) +
+              "\n" + header + golden.substr(header_end);
+      break;
+    }
+  }
+  auto parsed = AlignmentIndex::Parse(bytes, "graph_fuzz hostile header");
+  FUZZ_CHECK(!parsed.ok() && parsed.status().code() == StatusCode::kIOError,
+             "artifact.hostile_header",
+             parsed.ok() ? "accepted a hostile header"
+                         : "untyped rejection: " + parsed.status().ToString());
+
+  const std::string dir = tmp_prefix + "_hostile";
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    return FuzzFailure{"artifact.hostile_header", "tmp dir create failed"};
+  }
+  AlignmentIndexStore store(dir, /*keep=*/1);
+  if (!AtomicWriteFile(store.GenerationPath(1), AppendCrc32Trailer(bytes))
+           .ok()) {
+    return FuzzFailure{"artifact.hostile_header", "tmp write failed"};
+  }
+  auto loaded = store.LoadGeneration(1);
+  std::filesystem::remove_all(dir, ec);
+  FUZZ_CHECK(!loaded.ok() && loaded.status().code() == StatusCode::kIOError,
+             "artifact.hostile_header",
+             loaded.ok() ? "store loaded a hostile header"
+                         : "untyped store rejection: " +
+                               loaded.status().ToString());
+  return kOk;
+}
+
 /// Truncates or bit-flips serialized artifact bytes at seeded offsets and
 /// asserts the verify-or-reject contract: Parse / AlignmentIndexStore
 /// either reject with a clean typed Status or accept a self-consistent
@@ -330,7 +412,7 @@ FuzzFailure FuzzArtifact(const std::string& tmp_prefix, Rng* rng) {
     std::remove((dir + "/aidx_00000001").c_str());
     std::remove((dir + "/MANIFEST").c_str());
   }
-  return kOk;
+  return FuzzHostileHeader(golden, tmp_prefix, rng);
 }
 
 // --- Stage 3b: hot-swap quarantine under corrupted candidates ---------------

@@ -261,9 +261,9 @@ TEST_F(ServeTest, ParseRejectsZeroRowSections) {
     no_rows.emplace_back(0, w.cols());
   }
   auto empty_layers = [&](const char* key) {
-    std::ostringstream out;
+    std::string out;
     EmitMatrixList(&out, key, no_rows);
-    return out.str();
+    return out;
   };
   auto empty_base = BuildAnnIndex(Matrix(0, index.ann().dim()),
                                   index.ann_config());
@@ -297,6 +297,92 @@ TEST_F(ServeTest, ParseRejectsZeroRowSections) {
     EXPECT_NE(r.status().message().find(section), std::string::npos)
         << r.status().message();
   }
+}
+
+// An anchor slot without a target is written as -1; the parser takes it
+// back as an empty slot.
+TEST_F(ServeTest, ParseAcceptsEmptyAnchorSlots) {
+  const std::string payload = Index()->Serialize();
+  const size_t ids = payload.find('\n', payload.find("\nanchors ") + 1) + 1;
+  const size_t first_end = payload.find(' ', ids);
+  auto back = AlignmentIndex::Parse(
+      payload.substr(0, ids) + "-1" + payload.substr(first_end), "empty slot");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.ValueOrDie()->anchors().index[0], -1);
+  EXPECT_EQ(back.ValueOrDie()->anchors().index[1], Index()->anchors().index[1]);
+}
+
+// CRC-valid artifacts whose headers declare sizes within every cap but far
+// beyond what the payload holds: each load must end in a typed IOError
+// naming the section, not an allocation failure thrown out of Parse (on the
+// watcher thread that would end the server).
+
+// `payload` with the line `skip_lines` lines below the first occurrence of
+// `section` replaced by `replacement`.
+std::string RewriteLine(const std::string& payload, const std::string& section,
+                        int skip_lines, const std::string& replacement) {
+  size_t at = payload.find(section);
+  for (int i = 0; i < skip_lines && at != std::string::npos; ++i) {
+    at = payload.find('\n', at) + 1;
+  }
+  const size_t end = at == std::string::npos ? at : payload.find('\n', at);
+  if (end == std::string::npos) return payload;
+  return payload.substr(0, at) + replacement + payload.substr(end);
+}
+
+void ExpectHostileHeaderRejected(const std::string& payload,
+                                 const std::string& names,
+                                 const std::string& dir) {
+  auto parsed = AlignmentIndex::Parse(payload, "hostile");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kIOError);
+  EXPECT_NE(parsed.status().message().find(names), std::string::npos)
+      << parsed.status().message();
+
+  AlignmentIndexStore store(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(
+      AtomicWriteFile(store.GenerationPath(1), AppendCrc32Trailer(payload))
+          .ok());
+  auto loaded = store.LoadGeneration(1);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  auto latest = store.LoadLatest();
+  ASSERT_FALSE(latest.ok());
+  EXPECT_EQ(latest.status().code(), StatusCode::kIOError);
+}
+
+TEST_F(ServeTest, ParseRejectsLayerShapeLargerThanPayload) {
+  // The first source matrix's shape line follows the section's key line.
+  ExpectHostileHeaderRejected(
+      RewriteLine(Index()->Serialize(), "source_layers ", 1, "65536 65536"),
+      "'source_layers'", Dir("hostile"));
+}
+
+TEST_F(ServeTest, ParseRejectsAnchorsHeaderLargerThanPayload) {
+  ExpectHostileHeaderRejected(
+      RewriteLine(Index()->Serialize(), "anchors ", 0,
+                  "anchors 4194304 200 1024 4194304"),
+      "'anchors'", Dir("hostile"));
+}
+
+TEST_F(ServeTest, ParseRejectsModelDimsLargerThanPayload) {
+  // Swap the embedded model's header line, keeping the raw-section byte
+  // count in step so only the dims are hostile.
+  const std::string payload = Index()->Serialize();
+  const size_t key = payload.find("\nmodel ") + 1;
+  const size_t body = payload.find('\n', key) + 1;
+  const size_t header_end = payload.find('\n', body);
+  const int64_t nbytes = std::stoll(payload.substr(key + 6, body - key - 7));
+  const std::string header =
+      "galign-gcn-v1 layers=2 input_dim=3000000000 "
+      "embedding_dim=3000000000 activation=tanh";
+  const int64_t resized = nbytes + static_cast<int64_t>(header.size()) -
+                          static_cast<int64_t>(header_end - body);
+  ExpectHostileHeaderRejected(payload.substr(0, key) + "model " +
+                                  std::to_string(resized) + "\n" + header +
+                                  payload.substr(header_end),
+                              "model section", Dir("hostile"));
 }
 
 // --- Store ---------------------------------------------------------------
