@@ -229,25 +229,17 @@ void PrintResponse(int64_t node, const QueryResponse& response) {
   std::printf("\n");
 }
 
-/// Generation encoded in an `aidx_<digits>` filename, or 0.
-int GenerationOfName(const std::string& name) {
-  const size_t digits = name.find_first_of("0123456789");
-  if (digits == std::string::npos) return 0;
-  return std::atoi(name.c_str() + digits);
-}
-
 int RunHealth(const ServeCliOptions& opt) {
   AlignmentIndexStore store(opt.artifact_dir);
-  const std::vector<std::string> names = store.Candidates();
-  if (names.empty()) {
+  const std::vector<int> gens = store.Candidates();
+  if (gens.empty()) {
     std::printf("no artifact generations under %s\n", opt.artifact_dir.c_str());
     return 1;
   }
   SwapConfig config;
   config.budget = opt.serve.budget;
   int valid = 0, best = 0;
-  for (const std::string& name : names) {
-    const int gen = GenerationOfName(name);
+  for (const int gen : gens) {
     RunContext ctx;
     if (config.budget) ctx.SetBudget(config.budget);
     auto index = store.LoadGeneration(gen, ctx);

@@ -28,7 +28,8 @@
 #         generations; every response must be typed and correct for its
 #         generation, every bad publication quarantined with a typed
 #         reason. Plus a real exporter killed with SIGKILL mid-publish
-#         followed by a --mode=health probe, and the swap test suites.
+#         followed by a --mode=health probe, and the swap, serve,
+#         checkpoint and generation-store test suites.
 #
 # Usage: scripts/check.sh [--stage=lint|asan|tsan|serve|swap|all] [ctest-args...]
 #   e.g. scripts/check.sh -R DivergenceRecovery
@@ -195,10 +196,14 @@ run_swap_stage() {
   local build_dir="${repo_root}/build"
   cmake -B "${build_dir}" -S "${repo_root}" >/dev/null
   cmake --build "${build_dir}" -j "$(nproc)" \
-    --target galign_serve swap_test serve_test
+    --target galign_serve swap_test serve_test checkpoint_resume_test \
+    durable_io_test
 
+  # The generation store (common/durable_io) carries checkpoints as well as
+  # artifacts, so its own suite and the checkpoint suite run here too.
   echo "=== swap gate (quarantine + retention + generation tests) ==="
-  ctest --test-dir "${build_dir}" --output-on-failure -R "SwapTest|ServeTest"
+  ctest --test-dir "${build_dir}" --output-on-failure \
+    -R "SwapTest|ServeTest|CheckpointResumeTest|DurableIoTest"
 
   echo "=== swap gate (hot-swap chaos drill, release binary, 16x burst) ==="
   local drill_dir

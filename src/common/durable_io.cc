@@ -16,6 +16,10 @@
 #include <random>
 #include <sstream>
 #include <thread>
+#include <utility>
+
+#include "common/logging.h"
+#include "common/parse.h"
 
 namespace galign {
 
@@ -227,8 +231,14 @@ uint32_t Crc32(std::string_view data) {
 }
 
 Status AtomicWriteFile(const std::string& path, const std::string& content) {
+  // The pid keeps processes apart and the sequence number keeps threads
+  // apart: two threads writing one path (a save's retention pass and the
+  // swap watcher's, both rewriting MANIFEST) must not share a temp file,
+  // or one rename finds it already gone.
+  static std::atomic<uint64_t> sequence{0};
   const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+      path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
+      std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return Status::IOError(ErrnoMessage("cannot create", tmp));
 
@@ -395,8 +405,8 @@ Result<double> ParseHexDouble(std::string_view tok,
                               const std::string& context) {
   double d = 0.0;
   if (!DecodeHexDouble(tok, &d)) {
-    return Status::IOError("bad double bit pattern '" + std::string(tok) +
-                           "' in " + context);
+    return Status::IOError("bad double bit pattern " + QuoteToken(tok) +
+                           " in " + context);
   }
   return d;
 }
@@ -501,71 +511,166 @@ void BackoffSleep(const RetryPolicy& policy, int attempt, double floor_ms) {
 
 }  // namespace internal
 
-Result<RetentionReport> ApplyGenerationRetention(
-    const std::string& dir, const std::string& manifest_magic,
-    const std::function<int(const std::string&)>& gen_of, int keep,
-    int pinned_gen) {
-  keep = std::max(1, keep);
-  struct Entry {
-    std::string name;
-    int gen;
-    bool valid;
-  };
-  std::vector<Entry> entries;
-  std::error_code ec;
-  for (const auto& item : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = item.path().filename().string();
-    const int gen = gen_of(name);
-    if (gen < 0) continue;
-    const bool valid = VerifyCrc32TrailerFile(dir + "/" + name).ok();
-    entries.push_back({name, gen, valid});
+GenerationStore::GenerationStore(std::string dir, std::string prefix,
+                                 std::string manifest_magic, std::string noun,
+                                 int keep)
+    : dir_(std::move(dir)),
+      prefix_(std::move(prefix)),
+      manifest_magic_(std::move(manifest_magic)),
+      noun_(std::move(noun)),
+      keep_(std::max(1, keep)) {}
+
+std::string GenerationStore::Name(int gen) const {
+  char digits[16];
+  std::snprintf(digits, sizeof(digits), "%08d", gen);
+  return prefix_ + digits;
+}
+
+std::string GenerationStore::Path(int gen) const {
+  return dir_ + "/" + Name(gen);
+}
+
+int GenerationStore::GenerationOf(std::string_view name) const {
+  if (name.size() != prefix_.size() + 8 || !name.starts_with(prefix_)) {
+    return -1;
   }
+  int gen = 0;
+  for (const char c : name.substr(prefix_.size())) {
+    if (c < '0' || c > '9') return -1;
+    gen = gen * 10 + (c - '0');
+  }
+  return gen >= 1 ? gen : -1;
+}
+
+std::vector<int> GenerationStore::Scan(std::error_code* ec) const {
+  std::vector<int> gens;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_, *ec)) {
+    const int gen = GenerationOf(entry.path().filename().string());
+    if (gen > 0) gens.push_back(gen);
+  }
+  std::sort(gens.begin(), gens.end(), std::greater<int>());
+  return gens;
+}
+
+int GenerationStore::Newest() const {
+  std::error_code ec;
+  const std::vector<int> gens = Scan(&ec);
+  return gens.empty() ? 0 : gens.front();
+}
+
+std::vector<int> GenerationStore::Candidates() const {
+  // The manifest reflects save order. A missing, torn or foreign one
+  // degrades to a directory scan: the generation files are self-validating.
+  const std::string manifest = dir_ + "/MANIFEST";
+  auto content = ReadFileToString(manifest);
+  if (content.ok()) {
+    auto payload = StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
+                                              /*require_trailer=*/true,
+                                              manifest);
+    if (!payload.ok()) {
+      GALIGN_LOG(Warning) << noun_ << " manifest unreadable ("
+                          << payload.status().message()
+                          << "); falling back to directory scan";
+    } else if (TextCursor in(payload.ValueOrDie());
+               in.Expect(manifest_magic_)) {
+      std::vector<int> gens;
+      for (auto tok = in.Token(); !tok.empty(); tok = in.Token()) {
+        if (const int gen = GenerationOf(tok); gen > 0) gens.push_back(gen);
+      }
+      if (!gens.empty()) return gens;
+    }
+  }
+  std::error_code ec;
+  return Scan(&ec);
+}
+
+Status GenerationStore::Write(int gen, std::string payload) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
   if (ec) {
-    return Status::IOError("cannot scan generation dir " + dir + ": " +
+    return Status::IOError("cannot create " + noun_ + " dir " + dir_ + ": " +
                            ec.message());
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.gen > b.gen; });
+  GALIGN_RETURN_NOT_OK(
+      AtomicWriteFile(Path(gen), AppendCrc32Trailer(std::move(payload))));
+  return ApplyRetention();
+}
 
-  RetentionReport report;
-  std::vector<std::string> survivors;
-  std::vector<std::string> victims;
-  int valid_kept = 0;
-  bool any_valid = false;
-  for (const Entry& e : entries) any_valid |= e.valid;
-  for (const Entry& e : entries) {
-    if (!e.valid) {
-      // A torn file is never a survivor, but it is only deleted when a
-      // valid generation remains to serve from — an all-torn directory
-      // keeps its evidence so loaders still report data loss (IOError)
-      // instead of a clean NotFound.
-      if (any_valid) victims.push_back(e.name);
-      continue;
-    }
-    if (valid_kept < keep || e.gen == pinned_gen) {
-      survivors.push_back(e.name);
-      ++valid_kept;
-    } else {
-      victims.push_back(e.name);
-      report.pruned.push_back(e.name);
+Status GenerationStore::ApplyRetention() {
+  std::error_code ec;
+  const std::vector<int> gens = Scan(&ec);
+  if (ec) {
+    return Status::IOError("cannot scan generation dir " + dir_ + ": " +
+                           ec.message());
+  }
+  std::vector<bool> valid;
+  for (const int gen : gens) {
+    valid.push_back(VerifyCrc32TrailerFile(Path(gen)).ok());
+  }
+  // A torn file is never a survivor, but it is only deleted when a valid
+  // generation remains to serve from — an all-torn directory keeps its
+  // evidence so loaders still report data loss (IOError) instead of a
+  // clean NotFound.
+  const bool any_valid =
+      std::find(valid.begin(), valid.end(), true) != valid.end();
+  const int pinned = pinned_.load();
+  std::string manifest = manifest_magic_ + "\n";
+  std::vector<size_t> victims;
+  int kept = 0;
+  for (size_t i = 0; i < gens.size(); ++i) {
+    if (valid[i] && (kept < keep_ || gens[i] == pinned)) {
+      manifest += Name(gens[i]) + "\n";
+      ++kept;
+    } else if (valid[i] || any_valid) {
+      victims.push_back(i);
     }
   }
-  report.kept = valid_kept;
-
   // Manifest first: after this write no surviving reader path references a
   // victim, so deleting them cannot tear a concurrent load.
-  std::string manifest = manifest_magic + "\n";
-  for (const std::string& s : survivors) manifest += s + "\n";
   GALIGN_RETURN_NOT_OK(
-      AtomicWriteFile(dir + "/MANIFEST", AppendCrc32Trailer(manifest)));
+      AtomicWriteFile(dir_ + "/MANIFEST", AppendCrc32Trailer(manifest)));
+  for (const size_t i : victims) {
+    std::filesystem::remove(Path(gens[i]), ec);
+    if (!valid[i]) {
+      GALIGN_LOG(Warning) << noun_ << " " << Path(gens[i])
+                          << " failed its CRC; garbage-collected";
+    }
+  }
+  return Status::OK();
+}
 
-  for (const std::string& v : victims) {
-    std::filesystem::remove(dir + "/" + v, ec);
+Result<std::string> GenerationStore::ReadPayload(int gen) const {
+  auto content = ReadFileToString(Path(gen));
+  if (!content.ok()) {
+    return Status::NotFound(noun_ + " generation " + std::to_string(gen) +
+                            " unreadable: " + content.status().message());
   }
-  for (const Entry& e : entries) {
-    if (!e.valid && any_valid) report.torn_removed.push_back(e.name);
+  return StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
+                                    /*require_trailer=*/true, Path(gen));
+}
+
+Status GenerationStore::LoadLatest(const std::function<Status(int gen)>& load,
+                                   int* loaded_gen) const {
+  int tried = 0;
+  std::string newest_error;
+  for (const int gen : Candidates()) {
+    Status st = load(gen);
+    if (st.ok()) {
+      pinned_.store(gen);
+      if (loaded_gen != nullptr) *loaded_gen = gen;
+      return st;
+    }
+    if (tried++ == 0) newest_error = st.message();
+    GALIGN_LOG(Warning) << noun_ << " " << Path(gen) << " failed to load ("
+                        << st.message() << "); trying the previous one";
   }
-  return report;
+  if (tried > 0) {
+    return Status::IOError("all " + std::to_string(tried) + " " + noun_ +
+                           " generations under " + dir_ +
+                           " failed validation (newest error: " +
+                           newest_error + ")");
+  }
+  return Status::NotFound("no " + noun_ + " generation under " + dir_);
 }
 
 }  // namespace galign

@@ -13,12 +13,17 @@
 //    IO failures, bounded in attempts so persistent faults still surface.
 //  * The text codec — HexDouble / AppendHexDoubles write bit-exact doubles,
 //    TextCursor reads the token stream back without a stream object.
+//  * GenerationStore — the generation-directory format (numbered CRC'd
+//    files, a MANIFEST, retention with pinning, newest-first loading)
+//    behind both trainer checkpoints and serving artifacts.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "common/status.h"
@@ -39,8 +44,8 @@ uint32_t Crc32Update(uint32_t crc, const void* data, size_t size);
 
 /// \brief Durably replaces `path` with `content`.
 ///
-/// Writes `path`.tmp.<pid>, fsyncs it, then rename(2)s over `path` and
-/// fsyncs the containing directory. POSIX rename atomicity guarantees any
+/// Writes `path`.tmp.<pid>.<seq>, fsyncs it, then rename(2)s over `path`
+/// and fsyncs the containing directory. POSIX rename atomicity guarantees any
 /// concurrent or post-crash reader sees either the previous file or the
 /// full new content — never a prefix.
 [[nodiscard]] Status AtomicWriteFile(const std::string& path, const std::string& content);
@@ -175,38 +180,79 @@ void BackoffSleep(const RetryPolicy& policy, int attempt,
                   double floor_ms = 0.0);
 }  // namespace internal
 
-/// \brief Outcome of one generation-directory retention pass.
-struct RetentionReport {
-  int kept = 0;                           ///< surviving generation files
-  std::vector<std::string> pruned;        ///< valid but beyond the keep window
-  std::vector<std::string> torn_removed;  ///< failed CRC, garbage-collected
-};
+/// \brief A directory of numbered, CRC-framed generations (DESIGN.md §13):
+/// the on-disk format of trainer checkpoints and serving artifacts.
+///
+/// Generation `gen` >= 1 is the file `<prefix>` + `gen` as exactly 8
+/// digits; no other name in the directory is read, listed or deleted. Each
+/// is written by AtomicWriteFile with a CRC32 trailer, and every retention
+/// pass rewrites `<dir>/MANIFEST`: `manifest_magic`, the survivors' names
+/// newest-first, a CRC trailer. Callers bring the payload codec and their
+/// fault sites; `noun` names the generations in messages.
+class GenerationStore {
+ public:
+  GenerationStore(std::string dir, std::string prefix,
+                  std::string manifest_magic, std::string noun, int keep);
 
-/// \brief Keep-last-N retention with last-good pinning over a generation
-/// directory (checkpoints, serving artifacts).
-///
-/// `gen_of` maps a filename to its generation number; a negative return
-/// means "not a generation file" and the entry is never touched. Survivors
-/// are the `keep` newest CRC-valid generations plus the generation
-/// `pinned_gen` when it is present and valid (last-good pinning: the
-/// generation a live reader depends on is never pruned out from under it,
-/// even once `keep` newer generations exist). The manifest
-/// (`<dir>/MANIFEST`, `manifest_magic` + survivors newest-first + CRC
-/// trailer) is rewritten before any file is deleted, so a crash mid-pass
-/// never leaves the manifest naming a removed file.
-///
-/// Validity is VerifyCrc32TrailerFile, re-checked for every generation on
-/// every pass (bit rot does not change a file's mtime), streamed so a pass
-/// never holds a whole generation in memory.
-///
-/// Torn files (missing/wrong CRC trailer) are garbage-collected only when
-/// at least one valid generation survives: when *everything* is torn they
-/// are left in place as evidence, preserving the loaders' "all generations
-/// failed validation" IOError over a silent NotFound.
-[[nodiscard]] Result<RetentionReport> ApplyGenerationRetention(
-    const std::string& dir, const std::string& manifest_magic,
-    const std::function<int(const std::string&)>& gen_of, int keep,
-    int pinned_gen = -1);
+  std::string Path(int gen) const;
+  /// Highest generation in the directory (a scan), or 0.
+  int Newest() const;
+  /// Generations newest-first: MANIFEST order when the manifest is intact
+  /// and names one, else a directory scan.
+  std::vector<int> Candidates() const;
+
+  /// Creates the directory, durably writes `payload` (moved into its CRC
+  /// framing, never copied) as generation `gen`, then ApplyRetention().
+  [[nodiscard]] Status Write(int gen, std::string payload);
+
+  /// \brief Keep-last-N retention with last-good pinning.
+  ///
+  /// Survivors are the `keep` newest CRC-valid generations plus the pinned
+  /// one when it is valid, so the generation a live reader depends on is
+  /// never pruned out from under it. The manifest is rewritten before any
+  /// file is deleted, so a crash mid-pass never leaves it naming a removed
+  /// file. Validity is VerifyCrc32TrailerFile, re-checked on every pass
+  /// (bit rot does not change a file's mtime) and streamed. Torn files are
+  /// deleted, each with a logged warning, only when a valid generation
+  /// survives: an all-torn directory keeps its evidence, so LoadLatest
+  /// still reports an IOError instead of a silent NotFound.
+  [[nodiscard]] Status ApplyRetention();
+
+  /// Generation `gen`'s payload, trailer verified and removed: NotFound when
+  /// the file cannot be read, IOError when the trailer is missing or wrong.
+  [[nodiscard]] Result<std::string> ReadPayload(int gen) const;
+
+  /// \brief Runs `load` on each candidate, newest first, until one returns
+  /// OK; each failure is logged and the previous generation tried.
+  ///
+  /// Pins the generation that loads and reports it through `loaded_gen`.
+  /// NotFound when there is no generation (a cold start); IOError "all N
+  /// <noun> generations under <dir> failed validation (newest error: ...)"
+  /// when every one failed (durable state was lost). The callers' recovery
+  /// differs, so the types must.
+  [[nodiscard]] Status LoadLatest(const std::function<Status(int gen)>& load,
+                                  int* loaded_gen = nullptr) const;
+
+  /// Last-good pinning: `gen` survives retention regardless of age.
+  void Pin(int gen) { pinned_.store(gen); }
+  int pinned() const { return pinned_.load(); }
+
+ private:
+  /// `<prefix>` + `gen` as 8 digits.
+  std::string Name(int gen) const;
+  /// The generation `name` spells, or -1.
+  int GenerationOf(std::string_view name) const;
+  /// Generations in the directory, newest first.
+  std::vector<int> Scan(std::error_code* ec) const;
+
+  const std::string dir_;
+  const std::string prefix_;
+  const std::string manifest_magic_;
+  const std::string noun_;
+  const int keep_;
+  /// Last generation handed to a caller as good; -1 until then.
+  mutable std::atomic<int> pinned_{-1};
+};
 
 template <typename Fn>
 [[nodiscard]] Status RetryTransient(const RetryPolicy& policy, Fn&& fn) {

@@ -6,12 +6,41 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
 namespace galign {
+
+/// \brief `token`, single-quoted, for an error message about a payload.
+///
+/// At most the first 32 bytes are quoted, each byte outside printable ASCII
+/// written as \xNN, and a cut token is followed by its full length. A token
+/// runs to the next whitespace, so a hostile file could otherwise put
+/// megabytes of raw, non-UTF-8 bytes into one message, and from there into
+/// the log, a swap quarantine record and `galign_serve --mode=health`.
+inline std::string QuoteToken(std::string_view token) {
+  constexpr size_t kMaxQuoted = 32;
+  std::string out = "'";
+  for (const char c : token.substr(0, kMaxQuoted)) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte >= 0x20 && byte < 0x7f) {
+      out += c;
+    } else {
+      char escaped[8];
+      std::snprintf(escaped, sizeof(escaped), "\\x%02x", byte);
+      out += escaped;
+    }
+  }
+  out += '\'';
+  if (token.size() > kMaxQuoted) {
+    out += "... (" + std::to_string(token.size()) + " bytes)";
+  }
+  return out;
+}
 
 /// Parses a whole string as a base-10 signed 64-bit integer. The entire
 /// string must be consumed: "12abc", "", and out-of-range values all fail.
@@ -21,10 +50,12 @@ namespace galign {
   char* end = nullptr;
   const long long v = std::strtoll(s.c_str(), &end, 10);
   if (end == s.c_str() || *end != '\0') {
-    return Status::IOError(std::string("malformed ") + what + ": '" + s + "'");
+    return Status::IOError(std::string("malformed ") + what + ": " +
+                           QuoteToken(s));
   }
   if (errno == ERANGE) {
-    return Status::IOError(std::string(what) + " out of range: '" + s + "'");
+    return Status::IOError(std::string(what) + " out of range: " +
+                           QuoteToken(s));
   }
   return static_cast<int64_t>(v);
 }
@@ -38,10 +69,12 @@ namespace galign {
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
   if (end == s.c_str() || *end != '\0') {
-    return Status::IOError(std::string("malformed ") + what + ": '" + s + "'");
+    return Status::IOError(std::string("malformed ") + what + ": " +
+                           QuoteToken(s));
   }
   if (errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL)) {
-    return Status::IOError(std::string(what) + " out of range: '" + s + "'");
+    return Status::IOError(std::string(what) + " out of range: " +
+                           QuoteToken(s));
   }
   return v;
 }

@@ -1,15 +1,9 @@
 #include "core/checkpoint.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <sstream>
+#include <utility>
 
 #include "common/durable_io.h"
 #include "common/fault.h"
-#include "common/logging.h"
 #include "core/model_io.h"
 
 namespace galign {
@@ -17,32 +11,10 @@ namespace galign {
 namespace {
 
 constexpr char kMagic[] = "galign-ckpt-v1";
-constexpr char kManifestMagic[] = "galign-ckpt-manifest-v1";
-constexpr char kManifestName[] = "MANIFEST";
-constexpr char kCkptPrefix[] = "ckpt_";
 
 // Doubles are stored bit-exactly via common/durable_io.h HexDouble /
 // ParseHexDouble; matrix lists go through the shared core/model_io.h
 // EmitMatrixList / ParseMatrixList codec.
-
-std::string CheckpointFileName(int epoch) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%s%08d", kCkptPrefix, epoch);
-  return buf;
-}
-
-// Epoch encoded in a checkpoint filename, or -1 when the name does not
-// match ckpt_<digits>.
-int EpochOfFileName(const std::string& name) {
-  const size_t prefix_len = sizeof(kCkptPrefix) - 1;
-  if (name.compare(0, prefix_len, kCkptPrefix) != 0) return -1;
-  const std::string digits = name.substr(prefix_len);
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return -1;
-  }
-  return static_cast<int>(std::strtol(digits.c_str(), nullptr, 10));
-}
 
 }  // namespace
 
@@ -207,130 +179,32 @@ Result<TrainerCheckpoint> ParseCheckpoint(const std::string& payload,
 }
 
 CheckpointManager::CheckpointManager(std::string dir, int keep)
-    : dir_(std::move(dir)), keep_(keep < 1 ? 1 : keep) {}
-
-std::string CheckpointManager::ManifestPath() const {
-  return dir_ + "/" + kManifestName;
-}
+    : store_(std::move(dir), "ckpt_", "galign-ckpt-manifest-v1", "checkpoint",
+             keep) {}
 
 Status CheckpointManager::Save(const TrainerCheckpoint& ckpt) {
   if (fault::ShouldFailIO("io.checkpoint.save")) {
-    return Status::IOError("injected fault: checkpoint save to " + dir_);
+    return Status::IOError("injected fault: checkpoint save to " +
+                           store_.Path(ckpt.epoch));
   }
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec) {
-    return Status::IOError("cannot create checkpoint dir " + dir_ + ": " +
-                           ec.message());
-  }
-
-  const std::string name = CheckpointFileName(ckpt.epoch);
-  GALIGN_RETURN_NOT_OK(AtomicWriteFile(
-      dir_ + "/" + name, AppendCrc32Trailer(SerializeCheckpoint(ckpt))));
-
-  // Shared retention pass (common/durable_io.h): keep-last-N CRC-valid
-  // checkpoints, never the pinned (last-resumed) epoch, GC torn files.
-  auto report = ApplyGenerationRetention(dir_, kManifestMagic, EpochOfFileName,
-                                         keep_, pinned_.load());
-  GALIGN_RETURN_NOT_OK(report.status());
-  for (const std::string& torn : report.ValueOrDie().torn_removed) {
-    GALIGN_LOG(Warning) << "Checkpoint " << dir_ << "/" << torn
-                        << " failed its CRC; garbage-collected";
-  }
-  return Status::OK();
-}
-
-std::vector<std::string> CheckpointManager::Candidates() const {
-  // Preferred source: the manifest (it reflects save order even if epoch
-  // numbering ever changes). A missing/corrupt manifest degrades to a
-  // directory scan — the checkpoint files are self-validating anyway.
-  auto content = ReadFileToString(ManifestPath());
-  if (content.ok()) {
-    auto payload = StripAndVerifyCrc32Trailer(
-        content.ValueOrDie(), /*require_trailer=*/true, ManifestPath());
-    if (payload.ok()) {
-      std::istringstream in(payload.ValueOrDie());
-      std::string tok;
-      if (in >> tok && tok == kManifestMagic) {
-        std::vector<std::string> names;
-        while (in >> tok) {
-          if (EpochOfFileName(tok) >= 0) names.push_back(tok);
-        }
-        if (!names.empty()) return names;
-      }
-    } else {
-      GALIGN_LOG(Warning) << "Checkpoint manifest unreadable ("
-                          << payload.status().message()
-                          << "); falling back to directory scan";
-    }
-  }
-  std::vector<std::string> names;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string fname = entry.path().filename().string();
-    if (EpochOfFileName(fname) >= 0) names.push_back(fname);
-  }
-  std::sort(names.begin(), names.end(), [](const auto& a, const auto& b) {
-    return EpochOfFileName(a) > EpochOfFileName(b);
-  });
-  return names;
+  return store_.Write(ckpt.epoch, SerializeCheckpoint(ckpt));
 }
 
 Result<TrainerCheckpoint> CheckpointManager::LoadLatest() const {
-  // "Nothing saved yet" (NotFound) and "everything saved is torn" (IOError)
-  // are different failures: the first is a normal cold start, the second
-  // means durable state was lost and the caller must not silently retrain
-  // as if from scratch without surfacing it.
-  int tried = 0;
-  std::string newest_error;
-  auto note = [&](const std::string& msg) {
-    if (tried == 1) newest_error = msg;
-  };
-  for (const std::string& name : Candidates()) {
-    const std::string path = dir_ + "/" + name;
-    ++tried;
+  TrainerCheckpoint out;
+  GALIGN_RETURN_NOT_OK(store_.LoadLatest([&](int epoch) -> Status {
+    const std::string path = store_.Path(epoch);
     if (fault::ShouldFailIO("io.checkpoint.load")) {
-      GALIGN_LOG(Warning) << "Checkpoint " << path
-                          << " unreadable (injected fault); trying previous";
-      note("injected fault: checkpoint load from " + path);
-      continue;
+      return Status::IOError("injected fault: checkpoint load from " + path);
     }
-    auto content = ReadFileToString(path);
-    if (!content.ok()) {
-      GALIGN_LOG(Warning) << "Checkpoint " << path << " unreadable ("
-                          << content.status().message()
-                          << "); trying previous";
-      note(content.status().message());
-      continue;
-    }
-    auto payload = StripAndVerifyCrc32Trailer(content.MoveValueOrDie(),
-                                              /*require_trailer=*/true, path);
-    if (!payload.ok()) {
-      GALIGN_LOG(Warning) << "Checkpoint " << path << " failed validation ("
-                          << payload.status().message()
-                          << "); trying previous";
-      note(payload.status().message());
-      continue;
-    }
+    auto payload = store_.ReadPayload(epoch);
+    GALIGN_RETURN_NOT_OK(payload.status());
     auto ckpt = ParseCheckpoint(payload.ValueOrDie(), path);
-    if (!ckpt.ok()) {
-      GALIGN_LOG(Warning) << "Checkpoint " << path << " corrupt ("
-                          << ckpt.status().message() << "); trying previous";
-      note(ckpt.status().message());
-      continue;
-    }
-    // The resumed run depends on this file until its next successful save:
-    // pin it so retention cannot prune it in the meantime.
-    pinned_.store(EpochOfFileName(name));
-    return ckpt;
-  }
-  if (tried > 0) {
-    return Status::IOError("all " + std::to_string(tried) +
-                           " checkpoint generations under " + dir_ +
-                           " failed validation (newest error: " +
-                           newest_error + ")");
-  }
-  return Status::NotFound("no checkpoint under " + dir_);
+    GALIGN_RETURN_NOT_OK(ckpt.status());
+    out = ckpt.MoveValueOrDie();
+    return Status::OK();
+  }));
+  return out;
 }
 
 }  // namespace galign

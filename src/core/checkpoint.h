@@ -15,11 +15,11 @@
 // so a crash mid-save costs at most one checkpoint interval of work.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/durable_io.h"
 #include "common/status.h"
 #include "la/matrix.h"
 
@@ -73,14 +73,15 @@ std::string SerializeCheckpoint(const TrainerCheckpoint& ckpt);
 
 /// \brief Writes/reads checkpoints under one directory.
 ///
-/// Filenames are ckpt_<epoch, zero-padded>. Save() is atomic per-file and
-/// applies the shared generation-retention policy (DESIGN.md §13): the
-/// `keep` newest CRC-valid checkpoints plus the pinned (last-resumed)
-/// epoch survive, torn files are garbage-collected once a valid survivor
-/// exists, and the MANIFEST lists survivors newest-first — so long
-/// training runs stop growing disk unboundedly. Save failures are surfaced
-/// as Status but are safe to treat as non-fatal: an existing older
-/// checkpoint is never damaged by a failed newer save.
+/// A GenerationStore (ckpt_<epoch, 8 digits>) plus the checkpoint codec and
+/// fault sites. Save() is atomic per-file and applies the shared
+/// generation-retention policy (DESIGN.md §13): the `keep` newest CRC-valid
+/// checkpoints plus the pinned (last-resumed) epoch survive, torn files are
+/// garbage-collected once a valid survivor exists, and the MANIFEST lists
+/// survivors newest-first — so long training runs stop growing disk
+/// unboundedly. Save failures are surfaced as Status but are safe to treat
+/// as non-fatal: an existing older checkpoint is never damaged by a failed
+/// newer save.
 class CheckpointManager {
  public:
   explicit CheckpointManager(std::string dir, int keep = 2);
@@ -93,27 +94,17 @@ class CheckpointManager {
   /// the directory holds no checkpoint at all (a normal cold start),
   /// IOError naming the generation count and the newest failure when every
   /// present generation failed validation (durable state was lost). The
-  /// returned epoch is pinned so retention never prunes the checkpoint a
-  /// resumed run depends on.
+  /// returned epoch is pinned so this manager's retention never prunes the
+  /// checkpoint a resumed run depends on.
   [[nodiscard]] Result<TrainerCheckpoint> LoadLatest() const;
 
   /// Last-resumed pinning: epoch `epoch` survives retention regardless of
   /// age. LoadLatest() sets this automatically.
-  void SetPinnedEpoch(int epoch) { pinned_.store(epoch); }
-  int pinned_epoch() const { return pinned_.load(); }
-
-  const std::string& dir() const { return dir_; }
+  void SetPinnedEpoch(int epoch) { store_.Pin(epoch); }
+  int pinned_epoch() const { return store_.pinned(); }
 
  private:
-  std::string ManifestPath() const;
-  /// Candidate filenames newest-first: manifest order when the manifest is
-  /// readable and intact, directory scan otherwise.
-  std::vector<std::string> Candidates() const;
-
-  std::string dir_;
-  int keep_;
-  /// Epoch of the last checkpoint handed to a caller; -1 until then.
-  mutable std::atomic<int> pinned_{-1};
+  GenerationStore store_;
 };
 
 }  // namespace galign

@@ -28,7 +28,7 @@ Result<Activation> ParseActivation(const std::string& name) {
   if (name == "tanh") return Activation::kTanh;
   if (name == "relu") return Activation::kRelu;
   if (name == "linear") return Activation::kLinear;
-  return Status::IOError("unknown activation: " + name);
+  return Status::IOError("unknown activation: " + QuoteToken(name));
 }
 
 }  // namespace
@@ -149,8 +149,8 @@ Result<MultiOrderGcn> ParseGcnModel(const std::string& payload,
   std::string magic;
   hs >> magic;
   if (magic != "galign-gcn-v1") {
-    return Status::IOError("not a galign model file (bad magic '" + magic +
-                           "'): " + path);
+    return Status::IOError("not a galign model file (bad magic " +
+                           QuoteToken(magic) + "): " + path);
   }
   int64_t layers = 0, input_dim = 0, embedding_dim = 0;
   std::string activation_name = "tanh";
@@ -180,7 +180,7 @@ Result<MultiOrderGcn> ParseGcnModel(const std::string& payload,
   if (layers < 1 || layers > 1024 || input_dim < 1 || embedding_dim < 1) {
     return Status::IOError("malformed model header (expected layers in "
                            "[1, 1024] and positive dims) in " +
-                           path + ": " + header);
+                           path + ": " + QuoteToken(header));
   }
   // So do the dims: every weight takes at least one byte of what follows
   // the header, so a shape the payload cannot hold is rejected before the
@@ -255,8 +255,8 @@ Result<MultiOrderGcn> ParseGcnModel(const std::string& payload,
   }
   std::string trailing;
   if (in >> trailing) {
-    return Status::IOError("trailing data after last layer ('" + trailing +
-                           "' ...) in " + path);
+    return Status::IOError("trailing data after last layer (" +
+                           QuoteToken(trailing) + " ...) in " + path);
   }
   return gcn;
 }

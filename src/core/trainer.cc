@@ -114,11 +114,12 @@ Status Trainer::Train(MultiOrderGcn* gcn, const AttributedGraph& source,
   // newest valid checkpoint. Anything that prevents the restore — no
   // checkpoint yet, all copies corrupt, a config change that altered the
   // model shape — degrades to a fresh start; resume is an optimization, not
-  // a correctness requirement.
+  // a correctness requirement. One manager restores and saves, so the
+  // epoch the restore pins reaches every later save's retention pass.
+  CheckpointManager checkpointer(config_.checkpoint_dir);
   int start_epoch = 0;
   if (config_.resume_from_checkpoint && !config_.checkpoint_dir.empty()) {
-    CheckpointManager manager(config_.checkpoint_dir);
-    auto loaded = manager.LoadLatest();  // galign-lint: allow(context-dropped): CheckpointManager::LoadLatest is ctx-free by design (bounded startup restore); the flagged name is serve's ArtifactStore::LoadLatest(ctx)
+    auto loaded = checkpointer.LoadLatest();  // galign-lint: allow(context-dropped): CheckpointManager::LoadLatest is ctx-free by design (bounded startup restore); the flagged name is serve's ArtifactStore::LoadLatest(ctx)
     if (loaded.ok()) {
       TrainerCheckpoint& ckpt = loaded.ValueOrDie();
       if (!CheckpointMatchesModel(ckpt, params)) {
@@ -204,7 +205,6 @@ Status Trainer::Train(MultiOrderGcn* gcn, const AttributedGraph& source,
         }
       };
 
-  CheckpointManager checkpointer(config_.checkpoint_dir);
   // Persists the state as of the END of `epoch` (resume restarts at
   // epoch + 1). Failures are logged, never fatal: losing a checkpoint must
   // not take down a healthy training run, and the previous durable copy is

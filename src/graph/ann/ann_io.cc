@@ -90,9 +90,9 @@ Result<std::unique_ptr<AnnIndex>> RebuildAnnIndex(const std::string& payload,
     std::string backend;
     GALIGN_RETURN_NOT_OK(read_kv("backend", &backend));
     if (backend != "lsh") {
-      return Status::IOError("ANN recipe in " + context + " names backend '" +
-                             backend +
-                             "', which this build does not have; re-export "
+      return Status::IOError("ANN recipe in " + context + " names backend " +
+                             QuoteToken(backend) +
+                             ", which this build does not have; re-export "
                              "the artifact");
     }
   }
@@ -117,8 +117,8 @@ Result<std::unique_ptr<AnnIndex>> RebuildAnnIndex(const std::string& payload,
   if (fingerprint_hex.size() != 8 ||
       fingerprint_hex.find_first_not_of("0123456789abcdef") !=
           std::string::npos) {
-    return Status::IOError("bad ANN fingerprint '" + fingerprint_hex +
-                           "' in " + context);
+    return Status::IOError("bad ANN fingerprint " +
+                           QuoteToken(fingerprint_hex) + " in " + context);
   }
   if (config.lsh_tables < 1 || config.lsh_tables > kMaxRecipeLshTables) {
     return Status::IOError("ANN recipe lsh_tables " +

@@ -19,12 +19,12 @@
 // way the saved one did.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/durable_io.h"
 #include "common/run_context.h"
 #include "common/status.h"
 #include "core/config.h"
@@ -113,12 +113,13 @@ class AlignmentIndex {
 
 /// \brief Generation store for AlignmentIndex artifacts.
 ///
-/// Mirrors CheckpointManager: Save() atomically writes the next generation
-/// file plus a CRC'd MANIFEST and prunes to `keep` survivors; LoadLatest()
-/// walks generations newest-first, falling back past torn files, and
-/// distinguishes "nothing published yet" (NotFound) from "every published
-/// generation is torn" (IOError naming the generation count and newest
-/// failure). Fault sites: "serve.artifact.save", "serve.artifact.load".
+/// A GenerationStore (aidx_<gen, 8 digits>) plus the artifact codec:
+/// Save() atomically writes the next generation file plus a CRC'd MANIFEST
+/// and prunes to `keep` survivors; LoadLatest() walks generations
+/// newest-first, falling back past torn files, and distinguishes "nothing
+/// published yet" (NotFound) from "every published generation is torn"
+/// (IOError naming the generation count and newest failure). Fault sites:
+/// "serve.artifact.save", "serve.artifact.load".
 ///
 /// Retention (DESIGN.md §13): survivors are the `keep` newest CRC-valid
 /// generations plus the pinned (last-good) generation; torn files are
@@ -149,33 +150,26 @@ class AlignmentIndexStore {
   [[nodiscard]] Result<std::shared_ptr<const AlignmentIndex>> LoadGeneration(
       int gen, const RunContext& ctx = RunContext()) const;
 
-  /// Highest generation number present on disk (manifest or scan), or 0.
+  /// Highest generation number present on disk (a directory scan), or 0.
   /// The swap watcher polls this to detect new publications.
-  int NewestGeneration() const;
+  int NewestGeneration() const { return store_.Newest(); }
 
   /// Last-good pinning: `gen` survives retention regardless of age.
-  void SetPinnedGeneration(int gen) { pinned_.store(gen); }
-  int pinned_generation() const { return pinned_.load(); }
+  void SetPinnedGeneration(int gen) { store_.Pin(gen); }
+  int pinned_generation() const { return store_.pinned(); }
 
   /// Runs the retention pass now (keep-last-N + pin + torn GC). Save() does
   /// this automatically; the swap watcher calls it after each publish.
-  [[nodiscard]] Status ApplyRetention();
+  [[nodiscard]] Status ApplyRetention() { return store_.ApplyRetention(); }
 
-  /// Candidate filenames newest-first (manifest order, else dir scan).
-  std::vector<std::string> Candidates() const;
+  /// Generation numbers newest-first (manifest order, else dir scan).
+  std::vector<int> Candidates() const { return store_.Candidates(); }
 
   /// Path of generation `gen`'s artifact file (chaos/test tooling).
-  std::string GenerationPath(int gen) const;
-
-  const std::string& dir() const { return dir_; }
+  std::string GenerationPath(int gen) const { return store_.Path(gen); }
 
  private:
-  std::string ManifestPath() const;
-
-  std::string dir_;
-  int keep_;
-  /// Last generation handed to a caller as good; -1 until the first load.
-  mutable std::atomic<int> pinned_{-1};
+  GenerationStore store_;
 };
 
 }  // namespace galign

@@ -270,7 +270,7 @@ bool ArtifactWatcher::PollOnce() {
   // chaos drill) must not both be mid-quarantine.
   std::lock_guard<std::mutex> poll_lock(poll_mu_);
 
-  // A detect fault models a failed MANIFEST scan: skip this pass, next
+  // A detect fault models a failed directory scan: skip this pass, next
   // poll retries — detection has no candidate to poison.
   if (fault::ShouldFailIO("serve.swap.detect")) return false;
 

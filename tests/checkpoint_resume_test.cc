@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/durable_io.h"
 #include "common/fault.h"
 #include "core/checkpoint.h"
 #include "core/trainer.h"
@@ -246,6 +247,57 @@ TEST_F(CheckpointResumeTest, AllCheckpointsCorruptMeansFreshStart) {
   GAlignConfig plain = FastConfig();
   plain.epochs = 8;
   ExpectBitIdentical(TrainWeights(plain, pair), weights);
+}
+
+// The epoch a resumed run restored from stays pinned through the run's own
+// saves: restore and save go through one manager, so its retention pass
+// sees the pin that LoadLatest set.
+TEST_F(CheckpointResumeTest, ResumedRunKeepsItsRestoredCheckpoint) {
+  AlignmentPair pair = SmallPair(6);
+  GAlignConfig cfg = FastConfig();
+  cfg.epochs = 8;
+  cfg.checkpoint_every = 4;
+  cfg.checkpoint_dir = Dir("state");
+  Status st;
+  TrainWeights(cfg, pair, nullptr, &st);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  // Epoch 8 and a newer epoch 12 pass their CRC but are not checkpoints, so
+  // the resume falls back to epoch 4, and retention counts 12 and 8 as the
+  // two newest valid generations when the resumed run saves epoch 8.
+  const std::string foreign = AppendCrc32Trailer("not a checkpoint\n");
+  for (const char* name : {"/ckpt_00000008", "/ckpt_00000012"}) {
+    ASSERT_TRUE(AtomicWriteFile(Dir("state") + name, foreign).ok());
+  }
+  GAlignConfig resume_cfg = cfg;
+  resume_cfg.resume_from_checkpoint = true;
+  TrainReport report;
+  TrainWeights(resume_cfg, pair, &report, &st);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(report.resume_epoch, 4);
+  EXPECT_TRUE(std::filesystem::exists(Dir("state") + "/ckpt_00000004"));
+}
+
+// Retention touches only `ckpt_` plus exactly 8 digits with a value of at
+// least 1: a stray file outside that range is neither listed nor deleted.
+TEST_F(CheckpointResumeTest, RetentionLeavesNamesOutsideTheRangeAlone) {
+  const char* strays[] = {"ckpt_4294967297", "ckpt_123456789",
+                          "ckpt_00000000"};
+  std::filesystem::create_directories(Dir("state"));
+  for (const char* name : strays) {
+    std::ofstream(Dir("state") + "/" + name) << "not a generation\n";
+  }
+  TrainerCheckpoint ckpt;
+  ckpt.epoch = 1;
+  ckpt.weights.push_back(Matrix(2, 2, 1.0));
+  CheckpointManager mgr(Dir("state"));
+  ASSERT_TRUE(mgr.Save(ckpt).ok());
+  for (const char* name : strays) {
+    EXPECT_TRUE(std::filesystem::exists(Dir("state") + "/" + name)) << name;
+  }
+  auto latest = mgr.LoadLatest();
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(latest.ValueOrDie().epoch, 1);
 }
 
 // A checkpoint with every field set; `engine` ends at the state it records.

@@ -6,12 +6,14 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace galign {
@@ -216,6 +218,30 @@ TEST_F(DurableIoTest, AtomicWriteCreatesThenReplaces) {
   EXPECT_EQ(entries, 1);
 }
 
+// Threads of one process replacing one file (a save's retention pass and
+// the swap watcher's both rewrite MANIFEST) each rename a whole file of
+// their own: every write succeeds and no temp file is left behind.
+TEST_F(DurableIoTest, AtomicWriteFromConcurrentThreadsAllSucceed) {
+  const std::string path = Path("MANIFEST");
+  std::vector<std::thread> writers;
+  std::atomic<int> failures{0};
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < 200; ++i) {
+        if (!AtomicWriteFile(path, "writer " + std::to_string(t) + "\n").ok()) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(ReadFileToString(path).ValueOrDie().rfind("writer ", 0), 0u);
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir_),
+                          std::filesystem::directory_iterator()),
+            1);
+}
+
 TEST_F(DurableIoTest, AtomicWriteFailsCleanlyIntoMissingDirectory) {
   Status st = AtomicWriteFile(Path("no/such/dir/f.txt"), "x");
   ASSERT_FALSE(st.ok());
@@ -276,6 +302,118 @@ TEST_F(DurableIoTest, MissingTrailerPolicies) {
                                          "test");
   ASSERT_FALSE(fail.ok());
   EXPECT_NE(fail.status().message().find("missing"), std::string::npos);
+}
+
+// --- GenerationStore --------------------------------------------------------
+
+GenerationStore TestStore(const std::string& dir) {
+  return GenerationStore(dir, "gen_", "test-manifest-v1", "test", /*keep=*/3);
+}
+
+// Loads `gen`'s payload into `payload` (a loader for LoadLatest).
+Status ReadInto(const GenerationStore& store, int gen, std::string* payload) {
+  auto read = store.ReadPayload(gen);
+  GALIGN_RETURN_NOT_OK(read.status());
+  *payload = read.MoveValueOrDie();
+  return Status::OK();
+}
+
+TEST_F(DurableIoTest, StoreCandidatesAreNewestFirst) {
+  GenerationStore store = TestStore(dir_.string());
+  EXPECT_TRUE(store.Candidates().empty());
+  EXPECT_EQ(store.Newest(), 0);
+  for (int gen = 1; gen <= 3; ++gen) {
+    ASSERT_TRUE(store.Write(gen, "payload " + std::to_string(gen)).ok());
+  }
+  EXPECT_EQ(store.Path(3), Path("gen_00000003"));
+  EXPECT_EQ(store.Candidates(), (std::vector<int>{3, 2, 1}));
+  EXPECT_EQ(store.Newest(), 3);
+  // The manifest's own order wins while it is intact ...
+  ASSERT_TRUE(AtomicWriteFile(Path("MANIFEST"),
+                              AppendCrc32Trailer("test-manifest-v1\n"
+                                                 "gen_00000002\n"
+                                                 "gen_00000003\n"))
+                  .ok());
+  EXPECT_EQ(store.Candidates(), (std::vector<int>{2, 3}));
+  // ... and a directory scan stands in without it.
+  std::filesystem::remove(Path("MANIFEST"));
+  EXPECT_EQ(store.Candidates(), (std::vector<int>{3, 2, 1}));
+}
+
+// A torn MANIFEST, one with another store's magic and one that names no
+// generation are each ignored: the directory scan finds the generations,
+// and the newest one that loads is returned and pinned.
+TEST_F(DurableIoTest, StoreFallsBackPastBadManifestToDirectoryScan) {
+  GenerationStore store = TestStore(dir_.string());
+  ASSERT_TRUE(store.Write(1, "one").ok());
+  ASSERT_TRUE(store.Write(2, "two").ok());
+  // Generation 3 is torn, so the scan's first candidate fails to load.
+  ASSERT_TRUE(AtomicWriteFile(Path("gen_00000003"), "torn").ok());
+  const std::string torn_manifest =
+      AppendCrc32Trailer("test-manifest-v1\ngen_00000001\n");
+  const std::pair<const char*, std::string> manifests[] = {
+      {"torn", torn_manifest.substr(0, torn_manifest.size() - 4)},
+      {"foreign magic",
+       AppendCrc32Trailer("other-manifest-v1\ngen_00000001\n")},
+      {"no generation",
+       AppendCrc32Trailer("test-manifest-v1\ngen_00000000\ngen_1\n"
+                          "gen_000000001\nother_00000001\n")},
+  };
+  for (const auto& [name, bytes] : manifests) {
+    ASSERT_TRUE(AtomicWriteFile(Path("MANIFEST"), bytes).ok());
+    EXPECT_EQ(store.Candidates(), (std::vector<int>{3, 2, 1})) << name;
+    std::string payload;
+    int loaded = 0;
+    const Status st = store.LoadLatest(
+        [&](int gen) { return ReadInto(store, gen, &payload); }, &loaded);
+    ASSERT_TRUE(st.ok()) << name << ": " << st.ToString();
+    EXPECT_EQ(loaded, 2) << name;
+    EXPECT_EQ(payload, "two\n") << name;
+    EXPECT_EQ(store.pinned(), 2) << name;
+  }
+}
+
+TEST_F(DurableIoTest, StoreWhereEveryLoadFailsIsIOErrorNamingNewest) {
+  GenerationStore store = TestStore(dir_.string());
+  for (int gen = 1; gen <= 3; ++gen) ASSERT_TRUE(store.Write(gen, "x").ok());
+  std::vector<int> tried;
+  const Status st = store.LoadLatest([&](int gen) {
+    tried.push_back(gen);
+    return Status::IOError("boom " + std::to_string(gen));
+  });
+  ASSERT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_EQ(tried, (std::vector<int>{3, 2, 1}));
+  EXPECT_NE(st.message().find("all 3 test generations under " + dir_.string() +
+                              " failed validation (newest error: boom 3)"),
+            std::string::npos)
+      << st.message();
+  EXPECT_EQ(store.pinned(), -1);
+}
+
+TEST_F(DurableIoTest, StoreWithNoGenerationIsNotFound) {
+  GenerationStore store = TestStore(dir_.string());
+  int calls = 0;
+  auto count = [&](int) {
+    ++calls;
+    return Status::OK();
+  };
+  EXPECT_EQ(store.LoadLatest(count).code(), StatusCode::kNotFound);
+  GenerationStore missing = TestStore(Path("no such dir"));
+  EXPECT_EQ(missing.LoadLatest(count).code(), StatusCode::kNotFound);
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(store.ReadPayload(1).status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(DurableIoTest, StoreReadPayloadRejectsBadChecksum) {
+  GenerationStore store = TestStore(dir_.string());
+  ASSERT_TRUE(store.Write(1, "precious").ok());
+  std::string bytes = ReadFileToString(store.Path(1)).ValueOrDie();
+  bytes[0] ^= 0x01;
+  ASSERT_TRUE(AtomicWriteFile(store.Path(1), bytes).ok());
+  auto read = store.ReadPayload(1);
+  ASSERT_EQ(read.status().code(), StatusCode::kIOError);
+  EXPECT_NE(read.status().message().find("checksum mismatch"),
+            std::string::npos);
 }
 
 TEST_F(DurableIoTest, RetryTransientRecoversFromTransientFault) {

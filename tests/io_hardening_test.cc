@@ -12,8 +12,12 @@
 
 #include "align/alignment_io.h"
 #include "align/dataset_io.h"
+#include "common/durable_io.h"
 #include "common/fault.h"
+#include "common/parse.h"
+#include "core/checkpoint.h"
 #include "core/model_io.h"
+#include "graph/ann/ann_io.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/noise.h"
@@ -322,6 +326,70 @@ TEST_F(IoHardeningTest, AttributesLoadFaultSiteRetriesThenFails) {
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
   ExpectErrorMentioning(failed, "injected fault");
+}
+
+// --- Error messages quote payload tokens -----------------------------------
+
+// A token runs to the next whitespace, so a CRC-valid payload can hand a
+// parser one token of any length and any bytes. Every message that quotes a
+// token stays short and printable: it reaches the log, the swap quarantine
+// record and `galign_serve --mode=health`.
+TEST_F(IoHardeningTest, ErrorMessagesQuoteHostileTokensShortAndPrintable) {
+  std::string tok(size_t{1} << 20, '7');
+  tok[5] = static_cast<char>(0xb3);
+  const std::string model_tail = " input_dim=1 embedding_dim=1\n1 1\n";
+  std::string checkpoint = SerializeCheckpoint(TrainerCheckpoint{});
+  const std::string lr = "\nlr " + HexDouble(0.0);
+  ASSERT_NE(checkpoint.find(lr), std::string::npos);
+  checkpoint.replace(checkpoint.find(lr), lr.size(), "\nlr " + tok);
+  const std::string recipe_v2 =
+      "galign-ann-recipe-v2\nseed 1\nlsh_tables 4\nlsh_bits 8\n"
+      "lsh_probes 1\nrows 4\ndim 2\nfingerprint " + tok + "\nend\n";
+
+  const std::pair<const char*, Status> cases[] = {
+      {"ParseHexDouble", ParseHexDouble(tok, "test").status()},
+      {"ParseInt64", ParseInt64(tok, "value").status()},
+      {"ParseDouble", ParseDouble(tok, "value").status()},
+      {"checkpoint lr", ParseCheckpoint(checkpoint, "test").status()},
+      {"model weight",
+       ParseGcnModel("galign-gcn-v1 layers=1" + model_tail + tok + "\n",
+                     "test").status()},
+      {"model magic",
+       ParseGcnModel(tok + " layers=1" + model_tail + "0.5\n", "test")
+           .status()},
+      {"model header",
+       ParseGcnModel("galign-gcn-v1 layers=0 " + tok + model_tail + "0.5\n",
+                     "test").status()},
+      {"model header count",
+       ParseGcnModel("galign-gcn-v1 layers=" + tok + model_tail + "0.5\n",
+                     "test").status()},
+      {"model activation",
+       ParseGcnModel("galign-gcn-v1 layers=1 activation=" + tok + model_tail +
+                         "0.5\n",
+                     "test").status()},
+      {"model trailing data",
+       ParseGcnModel("galign-gcn-v1 layers=1" + model_tail + "0.5\n" + tok,
+                     "test").status()},
+      {"ANN backend",
+       RebuildAnnIndex("galign-ann-recipe-v1\nbackend " + tok + "\n",
+                       Matrix(4, 2), RunContext(), "test").status()},
+      {"ANN fingerprint",
+       RebuildAnnIndex(recipe_v2, Matrix(4, 2), RunContext(), "test")
+           .status()},
+  };
+  for (const auto& [name, st] : cases) {
+    ASSERT_EQ(st.code(), StatusCode::kIOError) << name;
+    const std::string& msg = st.message();
+    EXPECT_LT(msg.size(), 256u) << name;
+    EXPECT_NE(msg.find("\\xb3"), std::string::npos) << name;
+    EXPECT_NE(msg.find(" bytes)"), std::string::npos) << name;
+    for (const char c : msg) {
+      ASSERT_TRUE(c >= 0x20 && c < 0x7f)
+          << name << ": byte " << static_cast<int>(c);
+    }
+  }
+  // The swap watcher classifies a recipe failure by this word.
+  EXPECT_NE(cases[11].second.message().find("fingerprint"), std::string::npos);
 }
 
 }  // namespace
