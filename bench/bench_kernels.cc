@@ -5,6 +5,8 @@
 // full training epoch. Run with --benchmark_filter=... to narrow.
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+
 #include "bench/gbench_main.h"
 
 #include "autograd/ops.h"
@@ -266,19 +268,24 @@ void BM_TrainingEpochSparseTags(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainingEpochSparseTags)->Arg(2000)->Unit(benchmark::kMillisecond);
 
-void BM_StabilityScan(benchmark::State& state) {
-  // The chunked scan of Alg. 2: O(n1 n2 d) time but O(n) extra space.
-  const int64_t n = state.range(0);
+// Three layers of n normalized 64-wide embeddings per side.
+void ScanInputs(int64_t n, std::vector<Matrix>* hs, std::vector<Matrix>* ht) {
   Rng rng(8);
-  std::vector<Matrix> hs, ht;
   for (int l = 0; l < 3; ++l) {
     Matrix a = Matrix::Gaussian(n, 64, &rng);
     a.NormalizeRows();
-    hs.push_back(a);
+    hs->push_back(a);
     Matrix b = Matrix::Gaussian(n, 64, &rng);
     b.NormalizeRows();
-    ht.push_back(b);
+    ht->push_back(b);
   }
+}
+
+void BM_StabilityScan(benchmark::State& state) {
+  // The chunked scan of Alg. 2: O(n1 n2 d) time but O(n) extra space.
+  const int64_t n = state.range(0);
+  std::vector<Matrix> hs, ht;
+  ScanInputs(n, &hs, &ht);
   std::vector<double> theta{1.0 / 3, 1.0 / 3, 1.0 / 3};
   for (auto _ : state) {
     benchmark::DoNotOptimize(ScanStability(hs, ht, theta, 0.94));
@@ -286,6 +293,42 @@ void BM_StabilityScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * 64 * 3);
 }
 BENCHMARK(BM_StabilityScan)->Arg(500)->Arg(1000)->Arg(2000);
+
+void BM_StabilityScanIncremental(benchmark::State& state) {
+  // StabilityScanner::Rescan after range(1)% of the rows and columns of the
+  // GCN layers changed, spread evenly (100%: layer 0 too, the full scan).
+  // The embeddings stay as they are, so no maximum falls and no row or
+  // column is rescanned whole: the cell times the changed-row and
+  // changed-column passes. Items count the full scan's work, as in
+  // BM_StabilityScan, so the 100% cell must match it.
+  const int64_t n = state.range(0);
+  const int64_t percent = state.range(1);
+  std::vector<Matrix> hs, ht;
+  ScanInputs(n, &hs, &ht);
+  std::vector<double> theta{1.0 / 3, 1.0 / 3, 1.0 / 3};
+  std::vector<int64_t> all(n), some;
+  std::iota(all.begin(), all.end(), int64_t{0});
+  for (int64_t i = 0; percent > 0 && i < n; i += 100 / percent) {
+    some.push_back(i);
+  }
+  StabilityScanner scanner(theta, 0.94);
+  scanner.Rescan(hs, ht, {all, all, all}, {all, all, all});
+  const std::vector<std::vector<int64_t>> changed =
+      percent == 100 ? std::vector<std::vector<int64_t>>{all, all, all}
+                     : std::vector<std::vector<int64_t>>{{}, some, some};
+  for (auto _ : state) {
+    scanner.Rescan(hs, ht, changed, changed);
+    benchmark::DoNotOptimize(scanner.Result());
+  }
+  state.SetItemsProcessed(state.iterations() * n * n * 64 * 3);
+}
+BENCHMARK(BM_StabilityScanIncremental)
+    ->Args({1000, 0})
+    ->Args({1000, 25})
+    ->Args({1000, 100})
+    ->Args({2000, 0})
+    ->Args({2000, 25})
+    ->Args({2000, 100});
 
 void BM_NormalizedAdjacency(benchmark::State& state) {
   const int64_t n = state.range(0);

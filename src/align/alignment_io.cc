@@ -77,7 +77,7 @@ Result<Matrix> LoadAlignmentMatrix(const std::string& path) {
       }
       if (!std::isfinite(v.ValueOrDie())) {
         return Status::IOError(path + ":" + std::to_string(lineno) +
-                               ": non-finite alignment score '" + tok + "'");
+                               ": non-finite alignment score " + QuoteToken(tok));
       }
       row.push_back(v.ValueOrDie());
     }
@@ -132,7 +132,7 @@ Result<std::vector<int64_t>> LoadAnchors(const std::string& path,
     std::istringstream ls(line);
     int64_t s, t;
     if (!(ls >> s >> t)) {
-      return Status::IOError("malformed anchor line: '" + line + "'");
+      return Status::IOError("malformed anchor line: " + QuoteToken(line));
     }
     if (s < 0 || s >= num_source_nodes) {
       return Status::IOError("anchor source out of range");

@@ -1,5 +1,7 @@
 #include "common/parallel.h"
 
+#include <sched.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -9,6 +11,20 @@
 namespace galign {
 
 namespace {
+
+// The CPUs this process may run on: its affinity mask, which taskset, a
+// cgroup cpuset or a container narrows. hardware_concurrency() counts every
+// CPU of the machine, so it is only the fallback when the mask cannot be
+// read.
+int CpusAvailable() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return CPU_COUNT(&set);
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 4 : static_cast<int>(hw);
+}
 
 // Set while a thread is executing pool work; nested ParallelFor calls from
 // inside a worker run serially instead of deadlocking on the job mutex.
@@ -70,8 +86,7 @@ class ThreadPool {
 
  private:
   ThreadPool() {
-    unsigned hw = std::thread::hardware_concurrency();
-    int n = hw == 0 ? 4 : static_cast<int>(hw);
+    const int n = CpusAvailable();
     for (int i = 0; i < n - 1; ++i) {
       workers_.emplace_back([this] { WorkerLoop(); });
     }

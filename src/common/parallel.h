@@ -7,7 +7,9 @@
 
 namespace galign {
 
-/// Number of worker threads the pool was created with (>= 1).
+/// Number of worker threads the pool was created with (>= 1): the CPUs in
+/// the process's affinity mask when the pool was first used
+/// (hardware_concurrency() if the mask cannot be read).
 int ParallelismLevel();
 
 /// \brief Runs fn(begin..end) partitioned across the thread pool.

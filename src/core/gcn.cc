@@ -1,6 +1,9 @@
 #include "core/gcn.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "la/ops.h"
 
 namespace galign {
@@ -144,31 +147,59 @@ std::vector<Matrix> MultiOrderGcn::ForwardInference(
     h.NormalizeRows();
     layers.push_back(std::move(h));
   }
-  // `agg` is reused across layers (same n x d after layer one) and the
-  // activation is applied in place, so each layer allocates only the matrix
-  // that ends up stored in `layers`. The reserve above keeps row pointers
-  // stable, so reading the previous layer by reference is safe.
+  // `agg` is reused across layers (same n x d after layer one). The reserve
+  // above keeps row pointers stable, so reading the previous layer by
+  // reference is safe.
   Matrix agg;
-  for (const Matrix& w : weights_) {
+  for (size_t l = 0; l < weights_.size(); ++l) {
     laplacian.MultiplyInto(layers.back(), &agg);
-    Matrix pre;
-    MatMulInto(agg, w, &pre);
-    switch (activation_) {
-      case Activation::kTanh:
-        TanhInto(pre, &pre);
-        break;
-      case Activation::kRelu:
-        for (int64_t i = 0; i < pre.size(); ++i) {
-          pre.data()[i] = pre.data()[i] > 0.0 ? pre.data()[i] : 0.0;
-        }
-        break;
-      case Activation::kLinear:
-        break;
-    }
-    pre.NormalizeRows();
-    layers.push_back(std::move(pre));
+    layers.push_back(InferenceLayer(agg, l));
   }
   return layers;
+}
+
+void MultiOrderGcn::UpdateInferenceRows(
+    const SparseMatrix& laplacian,
+    const std::vector<std::vector<int64_t>>& rows,
+    std::vector<Matrix>* layers) const {
+  GALIGN_DCHECK(rows.size() == weights_.size());
+  GALIGN_DCHECK(layers->size() == weights_.size() + 1);
+  Matrix agg;
+  for (size_t l = 0; l < weights_.size(); ++l) {
+    const std::vector<int64_t>& changed = rows[l];
+    const Matrix& in = (*layers)[l];
+    Matrix& out = (*layers)[l + 1];
+    if (changed.empty()) continue;
+    laplacian.RowSubset(changed).MultiplyInto(in, &agg);
+    const Matrix h = InferenceLayer(agg, l);
+    ParallelFor(0, static_cast<int64_t>(changed.size()),
+                [&](int64_t i0, int64_t i1) {
+      for (int64_t i = i0; i < i1; ++i) {
+        std::copy(h.row_data(i), h.row_data(i) + h.cols(),
+                  out.row_data(changed[i]));
+      }
+    }, /*min_chunk=*/64);
+  }
+}
+
+Matrix MultiOrderGcn::InferenceLayer(const Matrix& agg, size_t layer) const {
+  // The activation runs in place, so a layer allocates only its output.
+  Matrix pre;
+  MatMulInto(agg, weights_[layer], &pre);
+  switch (activation_) {
+    case Activation::kTanh:
+      TanhInto(pre, &pre);
+      break;
+    case Activation::kRelu:
+      for (int64_t i = 0; i < pre.size(); ++i) {
+        pre.data()[i] = pre.data()[i] > 0.0 ? pre.data()[i] : 0.0;
+      }
+      break;
+    case Activation::kLinear:
+      break;
+  }
+  pre.NormalizeRows();
+  return pre;
 }
 
 }  // namespace galign

@@ -114,12 +114,30 @@ class MultiOrderGcn {
 
   /// \brief Inference-only forward pass (no tape, no gradients).
   ///
-  /// Used by alignment instantiation and by every refinement iteration
-  /// (which re-runs the pass under updated influence factors, Eq. 15).
+  /// Used by alignment instantiation and by refinement's first embedding.
   std::vector<Matrix> ForwardInference(const SparseMatrix& laplacian,
                                        const Matrix& features) const;
 
+  /// \brief Brings a ForwardInference result up to date with a changed
+  /// propagation matrix by recomputing only the listed rows.
+  ///
+  /// `layers` holds ForwardInference(old, F); rows[l - 1] lists, ascending
+  /// and without repeats, every row of layer l whose inputs can differ
+  /// under `laplacian`: the rows whose row of C changed, plus, for l > 1,
+  /// every row with a stored entry in a column listed for layer l - 1.
+  /// The result is bit-identical to ForwardInference(laplacian, F): an
+  /// SpMM row depends only on its own non-zeros, and a GEMM entry only on
+  /// its row, its column and the 256-wide k-panel order (DESIGN.md §6).
+  /// Refinement uses it after each influence update (Eq. 15).
+  void UpdateInferenceRows(const SparseMatrix& laplacian,
+                           const std::vector<std::vector<int64_t>>& rows,
+                           std::vector<Matrix>* layers) const;
+
  private:
+  // normalize(act(agg · W^(layer + 1))), the inference arithmetic of one
+  // layer after propagation.
+  Matrix InferenceLayer(const Matrix& agg, size_t layer) const;
+
   // Appends layers 1..k to `layers`, whose last entry is H^(0). Layer 1
   // multiplies `input` when it is non-null, else C times that last entry.
   void ForwardLayers(Tape* tape, const SparseMatrix* laplacian,

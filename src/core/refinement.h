@@ -6,11 +6,14 @@
 // (Eq. 14) inside the propagation matrix (Eq. 15), re-embeds, and keeps the
 // candidate with the best greedy score g(S) = sum_v max_u S(v, u).
 //
-// The scan over S^(l) is chunked over source rows so no layer-wise n1 x n2
-// matrix is materialized (the paper's O(n) space argument, §VI-C). The one
-// exception is the dense path, which returns an n1 x n2 matrix anyway: it
-// keeps the layer-0 scores, which no iteration changes, for the whole run
-// (see RefineAlignment).
+// Refinement is incremental and exact (DESIGN.md §6, "Incremental
+// refinement"): a changed influence factor can move only the embedding
+// rows within l hops of its node at layer l, so each iteration re-embeds
+// those rows and StabilityScanner rescans only the scores they can move.
+// The scan streams row blocks, so no layer-wise n1 x n2 matrix is
+// materialized (the paper's O(n) space argument, §VI-C). The one exception
+// is the dense path, which returns an n1 x n2 matrix anyway: it keeps the
+// layer-0 scores for the whole run (see RefineAlignment).
 #pragma once
 
 #include <vector>
@@ -44,19 +47,98 @@ struct StabilityScan {
 };
 
 /// theta_0 H_s^(0) H_t^(0)T, the layer-0 term of Eq. 12, computed exactly
-/// as AggregateAlignment's first step (and ScanStability's per block).
+/// as AggregateAlignment's first step (and StabilityScanner's per block).
 Matrix LayerZeroScores(const std::vector<Matrix>& hs,
                        const std::vector<Matrix>& ht,
                        const std::vector<double>& theta);
 
-/// Single chunked pass computing stable nodes and g(S) without storing any
-/// n1 x n2 matrix. When `layer0_scores` holds LayerZeroScores(hs, ht, theta)
-/// (n1 x n2, at least two layers), each row block starts from it instead of
-/// multiplying layer 0; the result is bit-identical either way.
+/// \brief The exact stability scan (Eq. 13) and g(S), kept up to date as
+/// embedding rows change.
+///
+/// For every layer Eq. 13 checks it holds each source row's and each target
+/// column's first maximum (the largest score; on ties the lowest index),
+/// and each source row's first maximum of the aggregated S: O(n1 + n2)
+/// state. Rescan streams row blocks of at most 512 x n2 scores, so no
+/// n1 x n2 matrix is held beyond the optional layer-0 scores below.
+class StabilityScanner {
+ public:
+  /// First maxima of the rows or columns of one score matrix: value[i] and
+  /// index[i] of row (column) i. A per-layer line whose scores never exceed
+  /// -1e300 keeps (-1e300, -1), which Eq. 13 treats as unstable.
+  struct FirstMax {
+    std::vector<double> value;
+    std::vector<int64_t> index;
+  };
+
+  /// Without `layer0_scores` every block multiplies every layer. With it,
+  /// which must hold LayerZeroScores(hs, ht, theta) of every call's hs/ht
+  /// (at least two layers) and outlive the scanner, blocks start from it
+  /// instead of multiplying layer 0.
+  explicit StabilityScanner(std::vector<double> theta, double lambda,
+                            const Matrix* layer0_scores = nullptr);
+
+  /// \brief Brings the statistics up to date with hs/ht.
+  ///
+  /// rows[l] (cols[l]) lists, ascending and without repeats, the rows of
+  /// source (target) layer l that may differ from the previous call's; the
+  /// first call must list every row and column of every layer, and is the
+  /// full scan. Every layer is rescanned over the union of the lists: every
+  /// score of a listed row, the listed columns of every other row, and, in
+  /// full, each other row (column) whose old maximum sat in a listed column
+  /// (row) and fell. The statistics are bit-identical to a full scan of
+  /// hs/ht.
+  void Rescan(const std::vector<Matrix>& hs, const std::vector<Matrix>& ht,
+              const std::vector<std::vector<int64_t>>& rows,
+              const std::vector<std::vector<int64_t>>& cols);
+
+  /// Stable sets and g(S) of the current statistics (g summed in row
+  /// order).
+  StabilityScan Result() const;
+
+  /// Row and column first maxima of layer `layer` (an index into hs; only
+  /// the layers Eq. 13 checks: 1..k, or 0 when there is no other).
+  const FirstMax& row_max(size_t layer) const { return rows_[layer - first_]; }
+  const FirstMax& col_max(size_t layer) const { return cols_[layer - first_]; }
+  /// First maxima of the aggregated S's rows.
+  const FirstMax& aggregate_row_max() const { return agg_; }
+
+ private:
+  // Recomputes the listed rows from their full rows of scores; when
+  // `fresh_cols` is non-null, also folds those scores into per-layer column
+  // maxima over the listed rows.
+  void ScanRows(const std::vector<Matrix>& hs, const std::vector<Matrix>& ht,
+                const std::vector<int64_t>& rows,
+                std::vector<FirstMax>* fresh_cols);
+  // Scores the rows `rows` (none listed in this Rescan) at the columns
+  // `cols`: folds them into the row statistics, marks in `fallen` the rows
+  // whose old maximum fell, and folds column maxima over these rows into
+  // `other_cols` (one entry per listed column).
+  void ScanColumns(const std::vector<Matrix>& hs,
+                   const std::vector<Matrix>& ht,
+                   const std::vector<int64_t>& rows,
+                   const std::vector<int64_t>& cols,
+                   std::vector<FirstMax>* other_cols,
+                   std::vector<char>* fallen);
+  // Recomputes cols[l - first_] of each checked layer l from every row.
+  void ScanWholeColumns(const std::vector<Matrix>& hs,
+                        const std::vector<Matrix>& ht,
+                        const std::vector<std::vector<int64_t>>& cols);
+
+  std::vector<double> theta_;
+  double lambda_;
+  const Matrix* layer0_;
+  size_t first_ = 0;             // first layer Eq. 13 checks
+  std::vector<FirstMax> rows_;   // per checked layer, n1 entries
+  std::vector<FirstMax> cols_;   // per checked layer, n2 entries
+  FirstMax agg_;                 // aggregated S, n1 entries
+  std::vector<char> row_listed_, col_listed_;  // the current Rescan's lists
+};
+
+/// One full StabilityScanner pass: stable nodes and g(S) without storing
+/// any n1 x n2 matrix.
 StabilityScan ScanStability(const std::vector<Matrix>& hs,
                             const std::vector<Matrix>& ht,
-                            const std::vector<double>& theta, double lambda,
-                            const Matrix* layer0_scores = nullptr);
+                            const std::vector<double>& theta, double lambda);
 
 /// \brief Candidate-pair stability scan (DESIGN.md §11): O(n * k̃) instead
 /// of O(n1 * n2).
@@ -96,22 +178,27 @@ struct RefinementResult {
 
 /// \brief Runs Alg. 2 with the trained GCN.
 ///
-/// Re-embeds both networks every iteration under the updated influence
-/// factors and returns the best-scoring aggregated alignment matrix. When
+/// Embeds both networks once, then, each iteration, re-embeds only the
+/// rows that the updated influence factors can reach (the closed l-hop
+/// neighbourhood of the changed nodes at layer l) and rescans only the
+/// scores those rows can move (StabilityScanner). Every iteration's
+/// embeddings, stable sets and g(S) are bit-identical to a full re-embed
+/// and full scan; an iteration with no stable node does no embedding or
+/// scan work. Returns the best-scoring aggregated alignment matrix. When
 /// `ctx` carries a deadline/cancellation token, the iteration loop winds
 /// down early and returns the best iterate found so far (report.degraded).
 ///
 /// With `materialize` false (DESIGN.md §9's budget-degraded and top-k path,
 /// which consumes the embeddings instead) the run never holds an n1 x n2
-/// matrix: ScanStability streams in row chunks. With `materialize` true the
-/// run computes LayerZeroScores once, holds it (n1 x n2) through every
-/// exact scan, and turns it into the returned alignment, so its peak is the
+/// matrix: the scan streams row blocks. With `materialize` true the
+/// layer-0 scores (LayerZeroScores, n1 x n2) are computed once, and every
+/// exact scan and the returned alignment start from them; the peak is the
 /// same as the final aggregation's: the result plus one layer product.
 ///
 /// When `ann` is non-null and ShouldUseAnn admits the problem size, each
 /// iteration's stability scan runs over retrieved candidate pairs
-/// (ScanStabilityCandidates) instead of the full cross product; a scan
-/// whose index cannot be admitted falls back to the exact pass.
+/// (ScanStabilityCandidates), in full, instead of the exact scan; a scan
+/// whose index cannot be admitted falls back to a full exact pass.
 [[nodiscard]] Result<RefinementResult> RefineAlignment(const MultiOrderGcn& gcn,
                                          const AttributedGraph& source,
                                          const AttributedGraph& target,

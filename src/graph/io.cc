@@ -67,11 +67,11 @@ Result<AttributedGraph> LoadEdgeList(const std::string& path) {
     int64_t u, v;
     if (!(ls >> u >> v)) {
       return Status::IOError(path + ":" + std::to_string(lineno) +
-                             ": malformed edge line: '" + line + "'");
+                             ": malformed edge line: " + QuoteToken(line));
     }
     if (u < 0 || v < 0) {
       return Status::IOError(path + ":" + std::to_string(lineno) +
-                             ": negative node id in: '" + line + "'");
+                             ": negative node id in: " + QuoteToken(line));
     }
     edges.emplace_back(u, v);
     max_id = std::max({max_id, u, v});
@@ -136,7 +136,7 @@ Result<Matrix> LoadAttributes(const std::string& path) {
       }
       if (!std::isfinite(v.ValueOrDie())) {
         return Status::IOError(path + ":" + std::to_string(lineno) +
-                               ": non-finite attribute value '" + tok + "'");
+                               ": non-finite attribute value " + QuoteToken(tok));
       }
       row.push_back(v.ValueOrDie());
     }
@@ -183,8 +183,8 @@ Result<std::vector<int64_t>> LoadGroundTruth(const std::string& path,
     std::istringstream ls(line);
     int64_t s, t;
     if (!(ls >> s >> t)) {
-      return Status::IOError(path + ": malformed ground-truth line: '" + line +
-                             "'");
+      return Status::IOError(path + ": malformed ground-truth line: " +
+                             QuoteToken(line));
     }
     if (s < 0 || s >= num_source_nodes) {
       return Status::IOError(path + ": ground-truth source " +

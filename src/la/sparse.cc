@@ -146,6 +146,27 @@ SparseMatrix SparseMatrix::FromDense(const Matrix& dense) {
   return m;
 }
 
+SparseMatrix SparseMatrix::RowSubset(const std::vector<int64_t>& rows) const {
+  SparseMatrix m;
+  m.rows_ = static_cast<int64_t>(rows.size());
+  m.cols_ = cols_;
+  m.row_ptr_.reserve(rows.size() + 1);
+  m.row_ptr_.push_back(0);
+  int64_t nnz = 0;
+  for (const int64_t r : rows) nnz += row_ptr_[r + 1] - row_ptr_[r];
+  m.col_idx_.reserve(static_cast<size_t>(nnz));
+  m.values_.reserve(static_cast<size_t>(nnz));
+  for (const int64_t r : rows) {
+    GALIGN_DCHECK(r >= 0 && r < rows_);
+    m.col_idx_.insert(m.col_idx_.end(), col_idx_.begin() + row_ptr_[r],
+                      col_idx_.begin() + row_ptr_[r + 1]);
+    m.values_.insert(m.values_.end(), values_.begin() + row_ptr_[r],
+                     values_.begin() + row_ptr_[r + 1]);
+    m.row_ptr_.push_back(m.nnz());
+  }
+  return m;
+}
+
 SparseMatrix SparseMatrix::Identity(int64_t n) {
   std::vector<Triplet> t;
   t.reserve(n);

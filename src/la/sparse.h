@@ -104,6 +104,11 @@ class SparseMatrix {
   /// Multiplies all stored values in row r by s.
   void ScaleRow(int64_t r, double s);
 
+  /// The listed rows, in list order, as a rows.size() x cols() matrix. Each
+  /// row keeps its stored entries in their order, so a product's row has
+  /// the bits of the same row of this matrix's product.
+  SparseMatrix RowSubset(const std::vector<int64_t>& rows) const;
+
   /// out = this * dense. Parallel over nnz-balanced row ranges.
   /// Shapes: (r x c) * (c x d).
   Matrix Multiply(const Matrix& dense) const;

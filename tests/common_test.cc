@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
@@ -220,6 +221,15 @@ TEST(ParallelTest, ReentrantCallsDoNotDeadlock) {
 
 TEST(ParallelTest, ParallelismLevelPositive) {
   EXPECT_GE(ParallelismLevel(), 1);
+}
+
+TEST(ParallelTest, ParallelismLevelFollowsAffinityMask) {
+  // One thread per CPU this process may run on: under taskset or a cpuset
+  // the pool is no larger than the CPUs it gets, whatever the machine has.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  EXPECT_EQ(ParallelismLevel(), CPU_COUNT(&set));
 }
 
 // ---------------------------------------------------------------- Timer

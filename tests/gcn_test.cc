@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 
 #include "core/augmenter.h"
 #include "core/losses.h"
@@ -97,6 +98,63 @@ TEST(GcnTest, ForwardInferenceShapesAndNorms) {
     for (int64_t r = 0; r < h.rows(); ++r) {
       double n = h.RowNorm(r);
       EXPECT_TRUE(n < 1e-9 || std::fabs(n - 1.0) < 1e-9);
+    }
+  }
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(GcnTest, UpdateInferenceRowsMatchesForwardInferenceBitForBit) {
+  // Scaling one node's influence factor changes row and column v of C
+  // (Eq. 15). Recomputing only layer 1's closed neighbourhood of the
+  // changed nodes and layer 2's closed 2-hop neighbourhood must give every
+  // bit of a full ForwardInference, and every other row must keep its bits.
+  AttributedGraph g = RandomGraph(21, 300);
+  Rng rng(22);
+  for (const Activation act : {Activation::kTanh, Activation::kRelu}) {
+    MultiOrderGcn gcn(std::vector<int64_t>{12, 7}, 8, &rng, act);
+    std::vector<double> q(300, 1.0);
+    std::vector<Matrix> layers = gcn.ForwardInference(
+        g.NormalizedAdjacency(q).MoveValueOrDie(), g.attributes());
+    for (int step = 0; step < 6; ++step) {
+      std::set<int64_t> reach;
+      for (int i = 0; i < 1 + step % 3; ++i) {
+        const int64_t v = rng.UniformInt(300);
+        q[v] *= step % 2 == 0 ? 0.25 : 3.0;
+        reach.insert(v);
+      }
+      std::vector<std::vector<int64_t>> rows;
+      for (int l = 0; l < 2; ++l) {
+        std::set<int64_t> next = reach;
+        for (const int64_t v : reach) {
+          for (const int64_t u : g.Neighbors(v)) next.insert(u);
+        }
+        reach = next;
+        rows.emplace_back(reach.begin(), reach.end());
+      }
+      ASSERT_LT(rows[1].size(), 300u);
+      const SparseMatrix lap = g.NormalizedAdjacency(q).MoveValueOrDie();
+      const std::vector<Matrix> before = layers;
+      gcn.UpdateInferenceRows(lap, rows, &layers);
+      const std::vector<Matrix> full =
+          gcn.ForwardInference(lap, g.attributes());
+      for (size_t l = 0; l < full.size(); ++l) {
+        EXPECT_TRUE(SameBits(layers[l], full[l])) << "layer " << l;
+      }
+      for (size_t l = 1; l < full.size(); ++l) {
+        const std::set<int64_t> listed(rows[l - 1].begin(),
+                                       rows[l - 1].end());
+        for (int64_t v = 0; v < 300; ++v) {
+          if (listed.count(v)) continue;
+          EXPECT_EQ(std::memcmp(before[l].row_data(v), full[l].row_data(v),
+                                full[l].cols() * sizeof(double)),
+                    0)
+              << "layer " << l << " row " << v << " moved unlisted";
+        }
+      }
     }
   }
 }

@@ -346,6 +346,10 @@ TEST_F(IoHardeningTest, ErrorMessagesQuoteHostileTokensShortAndPrintable) {
       "galign-ann-recipe-v2\nseed 1\nlsh_tables 4\nlsh_bits 8\n"
       "lsh_probes 1\nrows 4\ndim 2\nfingerprint " + tok + "\nend\n";
 
+  WriteFile("edges_bad.txt", "0 1\n" + tok + "\n");
+  WriteFile("edges_neg.txt", "-1 " + tok + "\n");
+  WriteFile("line_bad.txt", tok + "\n");
+
   const std::pair<const char*, Status> cases[] = {
       {"ParseHexDouble", ParseHexDouble(tok, "test").status()},
       {"ParseInt64", ParseInt64(tok, "value").status()},
@@ -376,7 +380,33 @@ TEST_F(IoHardeningTest, ErrorMessagesQuoteHostileTokensShortAndPrintable) {
       {"ANN fingerprint",
        RebuildAnnIndex(recipe_v2, Matrix(4, 2), RunContext(), "test")
            .status()},
+      // The loaders of user files name the offending line.
+      {"malformed edge line", LoadEdgeList(Path("edges_bad.txt")).status()},
+      {"negative node id", LoadEdgeList(Path("edges_neg.txt")).status()},
+      {"malformed ground-truth line",
+       LoadGroundTruth(Path("line_bad.txt"), 4).status()},
+      {"malformed anchor line",
+       LoadAnchors(Path("line_bad.txt"), 4).status()},
   };
+  // A non-finite value parses only as inf or nan(<letters, digits, _>), so
+  // no such token holds byte 0xb3; these messages get 1 MiB of digits.
+  const std::string nan_tok = "nan(" + tok.substr(0, 5) + tok.substr(6) + ")";
+  WriteFile("attrs_nan.txt", "0.5 " + nan_tok + "\n");
+  WriteFile("matrix_nan.txt", "0.5 " + nan_tok + "\n");
+  const std::pair<const char*, Status> non_finite[] = {
+      {"non-finite attribute value",
+       LoadAttributes(Path("attrs_nan.txt")).status()},
+      {"non-finite alignment score",
+       LoadAlignmentMatrix(Path("matrix_nan.txt")).status()},
+  };
+  for (const auto& [name, st] : non_finite) {
+    ASSERT_EQ(st.code(), StatusCode::kIOError) << name;
+    const std::string& msg = st.message();
+    EXPECT_NE(msg.find(name), std::string::npos) << msg;
+    EXPECT_LT(msg.size(), 256u) << name;
+    EXPECT_NE(msg.find("'nan(7777"), std::string::npos) << name;
+    EXPECT_NE(msg.find(" bytes)"), std::string::npos) << name;
+  }
   for (const auto& [name, st] : cases) {
     ASSERT_EQ(st.code(), StatusCode::kIOError) << name;
     const std::string& msg = st.message();
