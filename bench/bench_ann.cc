@@ -7,7 +7,10 @@
 //   * the headline end-to-end number: ANN-routed AlignTopK against the
 //     exact chunked scan on a fuzzer-scale 20k x 20k attributed pair,
 //     recording `speedup_vs_exact` and achieved `recall` in one entry
-//     (BM_AnnAlignTopKEndToEnd).
+//     (BM_AnnAlignTopKEndToEnd);
+//   * one refinement iteration's candidate scan at perfbench topk_ann_6k's
+//     shape — the k = 32 QueryBatch over a 6000 x 216 base and the whole
+//     ScanStabilityCandidates (BM_QueryBatch6k, BM_ScanStabilityCandidates6k).
 //
 // The workload is the planted-neighborhood design of
 // tests/ann_recall_test.cc at bench scale: unit rows clustered around
@@ -24,6 +27,7 @@
 #include "bench/gbench_main.h"
 #include "common/rng.h"
 #include "common/timer.h"
+#include "core/refinement.h"
 #include "graph/ann/ann.h"
 #include "graph/ann/ann_index.h"
 #include "graph/generators.h"
@@ -194,6 +198,61 @@ void BM_AnnAlignTopKEndToEnd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_AnnAlignTopKEndToEnd)->Arg(20000)->Unit(benchmark::kMillisecond);
+
+// ------------------------------------ topk_ann_6k candidate scan shape
+
+// A refinement iteration's inputs at perfbench topk_ann_6k's shape: 6000
+// source and target rows, layers 16 + 100 + 100 wide (attributes, then two
+// GCN layers), equal layer weights. Each layer's rows cluster around
+// centers both sides share, as the embeddings of a noisy copy do.
+struct ScanFixture {
+  std::vector<Matrix> hs, ht;
+  std::vector<double> theta;
+  Matrix base;     // the target layers concatenated
+  Matrix queries;  // the source layers concatenated, scaled by theta
+};
+
+const ScanFixture& Scan6k() {
+  static const ScanFixture f = [] {
+    ScanFixture s;
+    uint64_t seed = 600;
+    for (const int64_t d : {16, 100, 100}) {
+      s.hs.push_back(ClusteredRows(6000, d, 1500, 0.3, seed, seed + 1));
+      s.ht.push_back(ClusteredRows(6000, d, 1500, 0.3, seed, seed + 2));
+      seed += 3;
+    }
+    s.theta.assign(3, 1.0 / 3.0);
+    s.base = ConcatLayerRows(s.ht, nullptr, nullptr).MoveValueOrDie();
+    s.queries = ConcatLayerRows(s.hs, &s.theta, nullptr).MoveValueOrDie();
+    return s;
+  }();
+  return f;
+}
+
+void BM_QueryBatch6k(benchmark::State& state) {
+  const ScanFixture& f = Scan6k();
+  auto index =
+      BuildAnnIndex(f.base, EffortScaledConfig(AnnPolicy()), RunContext());
+  const AnnIndex& idx = *index.ValueOrDie();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(idx.QueryBatch(f.queries, 32).ValueOrDie());
+  }
+  state.SetItemsProcessed(state.iterations() * f.queries.rows());
+}
+BENCHMARK(BM_QueryBatch6k)->Unit(benchmark::kMillisecond);
+
+void BM_ScanStabilityCandidates6k(benchmark::State& state) {
+  const ScanFixture& f = Scan6k();
+  const AnnPolicy policy;  // refine_candidates = 32, as in refinement
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ScanStabilityCandidates(f.hs, f.ht, f.theta, 0.94, policy,
+                                RunContext())
+            .ValueOrDie());
+  }
+  state.SetItemsProcessed(state.iterations() * f.hs[0].rows());
+}
+BENCHMARK(BM_ScanStabilityCandidates6k)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace galign

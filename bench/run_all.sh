@@ -23,7 +23,9 @@ REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 ARGS=("$@")
 
 # Recorded BENCH_*.json snapshots carry provenance (bench/gbench_main.h):
-# the galign build flavor and the git SHA below land in the JSON context.
+# the galign build flavor, the git SHA below, the pool's thread count and
+# host_steal_s, the host steal measured over the recording run, land in the
+# JSON context.
 GALIGN_GIT_SHA="$(git -C "${REPO_ROOT}" describe --always --dirty 2>/dev/null \
   || echo unknown)"
 export GALIGN_GIT_SHA

@@ -9,6 +9,7 @@
 #include "common/parallel.h"
 #include "graph/ann/ann.h"
 #include "la/ops.h"
+#include "la/row_dots.h"
 
 namespace galign {
 
@@ -18,6 +19,9 @@ namespace {
 constexpr int64_t kBlockRows = 512;
 // Score of an empty per-layer line (StabilityScanner::FirstMax).
 constexpr double kNoScore = -1e300;
+// Source rows per slice of the candidate-pair statistics: fixed, so the
+// merged column maxima do not depend on the thread count.
+constexpr int64_t kCandidateSliceRows = 256;
 
 // s += sum_{first <= l < last} theta_l H_s^(l) H_t^(l)T, one layer product
 // at a time, in layer order.
@@ -505,79 +509,146 @@ Result<StabilityScan> ScanStabilityCandidates(const std::vector<Matrix>& hs,
                                               double lambda,
                                               const AnnPolicy& policy,
                                               const RunContext& ctx) {
+  const int64_t kc =
+      std::max<int64_t>(1, std::min(policy.refine_candidates, ht[0].rows()));
+
+  auto cand = AnnEmbeddingTopK(hs, ht, theta, kc, policy, ctx);
+  GALIGN_RETURN_NOT_OK(cand.status());
+  return ScanCandidatePairs(hs, ht, theta, lambda, cand.ValueOrDie()).scan;
+}
+
+CandidateScan ScanCandidatePairs(const std::vector<Matrix>& hs,
+                                 const std::vector<Matrix>& ht,
+                                 const std::vector<double>& theta,
+                                 double lambda, const TopKAlignment& topk) {
   GALIGN_DCHECK(hs.size() == ht.size() && hs.size() == theta.size());
   const size_t layers = hs.size();
   const int64_t n1 = hs[0].rows();
   const int64_t n2 = ht[0].rows();
-  const int64_t kc =
-      std::max<int64_t>(1, std::min(policy.refine_candidates, n2));
-
-  auto cand = AnnEmbeddingTopK(hs, ht, theta, kc, policy, ctx);
-  GALIGN_RETURN_NOT_OK(cand.status());
-  const TopKAlignment& topk = cand.ValueOrDie();
-
-  std::vector<std::vector<int64_t>> row_arg(layers,
-                                            std::vector<int64_t>(n1, -1));
-  std::vector<std::vector<double>> row_max(
-      layers, std::vector<double>(n1, -1e300));
-  std::vector<std::vector<int64_t>> col_arg(layers,
-                                            std::vector<int64_t>(n2, -1));
-  std::vector<std::vector<double>> col_max(
-      layers, std::vector<double>(n2, -1e300));
-
-  StabilityScan out;
-  std::vector<int64_t> cands;
-  cands.reserve(static_cast<size_t>(topk.k));
-  for (int64_t v = 0; v < topk.rows_computed; ++v) {
-    cands.clear();
-    for (int64_t j = 0; j < topk.k; ++j) {
-      const int64_t u = topk.index[v * topk.k + j];
-      if (u >= 0) cands.push_back(u);
-    }
-    // Ascending ids so the strict `>` updates below break ties exactly
-    // like the exact scan (first maximum wins).
-    std::sort(cands.begin(), cands.end());
-    double agg_max = -1e300;
-    bool any = false;
-    for (const int64_t u : cands) {
-      double agg = 0.0;
-      for (size_t l = 0; l < layers; ++l) {
-        double s = 0.0;
-        const double* a = hs[l].row_data(v);
-        const double* b = ht[l].row_data(u);
-        for (int64_t c = 0; c < hs[l].cols(); ++c) s += a[c] * b[c];
-        if (s > row_max[l][v]) {
-          row_max[l][v] = s;
-          row_arg[l][v] = u;
-        }
-        if (s > col_max[l][u]) {
-          col_max[l][u] = s;
-          col_arg[l][u] = v;
-        }
-        if (theta[l] != 0.0) agg += theta[l] * s;
-      }
-      if (agg > agg_max) agg_max = agg;
-      any = true;
-    }
-    if (any) out.aggregate_score += agg_max;
-  }
-
+  // As in the exact scan, Eq. 13 checks the layers from `first` on; layer 0
+  // enters only the aggregate.
   const size_t first = layers > 1 ? 1 : 0;
+  const size_t checked = layers - first;
+  const int64_t rows = topk.rows_computed;
+  const int64_t slices = (rows + kCandidateSliceRows - 1) / kCandidateSliceRows;
+  CandidateScan out;
+  std::vector<StabilityScanner::FirstMax>& row_max = out.row_max;
+  row_max.resize(checked);
+  for (StabilityScanner::FirstMax& line : row_max) ResetLine(&line, n1);
+  // Column first maxima over each slice's rows, slice-major.
+  std::vector<StabilityScanner::FirstMax> slice_cols(
+      static_cast<size_t>(slices) * checked);
+  // Each row's best aggregate over its candidates (kNoScore without any).
+  std::vector<double> best(static_cast<size_t>(rows), kNoScore);
+  std::vector<char> retrieved(static_cast<size_t>(rows), 0);
+
+  // Slices run on the pool. Candidates go in ascending id order, so within
+  // a slice the strict `>` updates keep first maxima exactly like the
+  // exact scan; slices then merge in slice order.
+  ParallelFor(
+      0, slices,
+      [&](int64_t s0, int64_t s1) {
+        std::vector<int64_t> cands;
+        std::vector<const double*> cand_rows;
+        std::vector<double> scores;
+        for (int64_t sl = s0; sl < s1; ++sl) {
+          StabilityScanner::FirstMax* cols =
+              slice_cols.data() + static_cast<size_t>(sl) * checked;
+          for (size_t c = 0; c < checked; ++c) ResetLine(&cols[c], n2);
+          const int64_t end = std::min(rows, (sl + 1) * kCandidateSliceRows);
+          for (int64_t v = sl * kCandidateSliceRows; v < end; ++v) {
+            cands.clear();
+            for (int64_t j = 0; j < topk.k; ++j) {
+              const int64_t u = topk.index[v * topk.k + j];
+              if (u >= 0) cands.push_back(u);
+            }
+            std::sort(cands.begin(), cands.end());
+            const size_t nc = cands.size();
+            cand_rows.resize(nc);
+            scores.resize(layers * nc);
+            for (size_t l = 0; l < layers; ++l) {
+              for (size_t j = 0; j < nc; ++j) {
+                cand_rows[j] = ht[l].row_data(cands[j]);
+              }
+              RowDots(hs[l].row_data(v), cand_rows.data(),
+                      static_cast<int64_t>(nc), hs[l].cols(),
+                      scores.data() + l * nc);
+            }
+            double agg_max = kNoScore;
+            for (size_t j = 0; j < nc; ++j) {
+              const int64_t u = cands[j];
+              double agg = 0.0;
+              for (size_t l = 0; l < layers; ++l) {
+                const double s = scores[l * nc + j];
+                if (l >= first) {
+                  StabilityScanner::FirstMax& rm = row_max[l - first];
+                  if (s > rm.value[v]) {
+                    rm.value[v] = s;
+                    rm.index[v] = u;
+                  }
+                  StabilityScanner::FirstMax& cm = cols[l - first];
+                  if (s > cm.value[u]) {
+                    cm.value[u] = s;
+                    cm.index[u] = v;
+                  }
+                }
+                if (theta[l] != 0.0) agg += theta[l] * s;
+              }
+              if (agg > agg_max) agg_max = agg;
+            }
+            best[v] = agg_max;
+            retrieved[v] = nc > 0;
+          }
+        }
+      },
+      /*min_chunk=*/1);
+
+  // Merge the slices' column maxima in slice order: the larger value wins,
+  // ties go to the lower row.
+  std::vector<StabilityScanner::FirstMax>& col_max = out.col_max;
+  col_max.resize(checked);
+  for (StabilityScanner::FirstMax& line : col_max) ResetLine(&line, n2);
+  ParallelFor(
+      0, n2,
+      [&](int64_t u0, int64_t u1) {
+        for (int64_t sl = 0; sl < slices; ++sl) {
+          for (size_t c = 0; c < checked; ++c) {
+            const StabilityScanner::FirstMax& part =
+                slice_cols[static_cast<size_t>(sl) * checked + c];
+            StabilityScanner::FirstMax& col = col_max[c];
+            for (int64_t u = u0; u < u1; ++u) {
+              if (Precedes(part.value[u], part.index[u], col.value[u],
+                           col.index[u])) {
+                col.value[u] = part.value[u];
+                col.index[u] = part.index[u];
+              }
+            }
+          }
+        }
+      },
+      /*min_chunk=*/1024);
+
+  StabilityScan& scan = out.scan;
+  for (int64_t v = 0; v < rows; ++v) {
+    if (retrieved[v]) scan.aggregate_score += best[v];
+  }
   for (int64_t v = 0; v < n1; ++v) {
-    if (row_arg[first][v] < 0) continue;  // no candidates retrieved
+    if (row_max[0].index[v] < 0) continue;  // no candidates retrieved
     bool stable = true;
-    for (size_t l = first; l < layers && stable; ++l) {
-      stable = row_arg[l][v] == row_arg[first][v] && row_max[l][v] > lambda;
+    for (size_t c = 0; c < checked && stable; ++c) {
+      stable = row_max[c].index[v] == row_max[0].index[v] &&
+               row_max[c].value[v] > lambda;
     }
-    if (stable) out.stable_source.push_back(v);
+    if (stable) scan.stable_source.push_back(v);
   }
   for (int64_t u = 0; u < n2; ++u) {
-    if (col_arg[first][u] < 0) continue;  // never retrieved as a candidate
+    if (col_max[0].index[u] < 0) continue;  // never retrieved as a candidate
     bool stable = true;
-    for (size_t l = first; l < layers && stable; ++l) {
-      stable = col_arg[l][u] == col_arg[first][u] && col_max[l][u] > lambda;
+    for (size_t c = 0; c < checked && stable; ++c) {
+      stable = col_max[c].index[u] == col_max[0].index[u] &&
+               col_max[c].value[u] > lambda;
     }
-    if (stable) out.stable_target.push_back(u);
+    if (stable) scan.stable_target.push_back(u);
   }
   return out;
 }

@@ -149,11 +149,31 @@ StabilityScan ScanStability(const std::vector<Matrix>& hs,
 /// exact whenever the aggregate argmax is recalled; column statistics are
 /// maxima over the retrieved pair set (the symmetric condition evaluated
 /// on the same candidates, not a second index). Tie-breaking matches
-/// ScanStability: first maximum wins, scanning ascending ids.
+/// ScanStability: first maximum wins, scanning ascending ids. Source rows
+/// run on the pool in fixed slices whose column maxima merge in slice
+/// order, so the result does not depend on the thread count.
 [[nodiscard]] Result<StabilityScan> ScanStabilityCandidates(
     const std::vector<Matrix>& hs, const std::vector<Matrix>& ht,
     const std::vector<double>& theta, double lambda, const AnnPolicy& policy,
     const RunContext& ctx);
+
+/// Eq. 13's statistics over candidate pairs, and the scan they give.
+struct CandidateScan {
+  /// Per layer Eq. 13 checks (1..k, or 0 when there is no other): each
+  /// source row's first maximum over its candidates, and each target
+  /// column's over the rows that retrieved it.
+  std::vector<StabilityScanner::FirstMax> row_max, col_max;
+  StabilityScan scan;
+};
+
+/// The statistics half of ScanStabilityCandidates: scores each of the first
+/// candidates.rows_computed source rows against its retrieved targets
+/// (index -1 slots are skipped).
+CandidateScan ScanCandidatePairs(const std::vector<Matrix>& hs,
+                                 const std::vector<Matrix>& ht,
+                                 const std::vector<double>& theta,
+                                 double lambda,
+                                 const TopKAlignment& candidates);
 
 /// Outcome of the refinement search.
 struct RefinementResult {

@@ -28,8 +28,10 @@ namespace galign {
 bool ShouldUseAnn(const AnnPolicy& policy, int64_t n1, int64_t n2);
 
 /// The policy's index config with search effort scaled to the recall
-/// target (more probed buckets for tighter targets). The recall property
-/// test measures what a scaled config actually achieves.
+/// target (more probed buckets for tighter targets): an effort step, not a
+/// recall guarantee. The recall property test measures what a scaled
+/// config achieves on planted workloads (~0.99 at the defaults); trained
+/// GAlign embeddings read lower (AnnPolicy::recall_target).
 AnnConfig EffortScaledConfig(const AnnPolicy& policy);
 
 /// Horizontally concatenates layer rows into one (n x sum dims) matrix,

@@ -28,8 +28,8 @@ uint64_t EstimateAnnIndexBytes(int64_t n, int64_t dim,
   const uint64_t tables =
       static_cast<uint64_t>(std::max<int64_t>(config.lsh_tables, 1));
   // Base copy + hyperplanes + per-table direct-addressed bucket offsets
-  // (2^bits + 1) and packed id arrays, + the transient sorted (signature,
-  // id) pairs and projection block used while hashing.
+  // (2^bits + 1) and packed id arrays, + the transient signatures and
+  // projection block used while hashing.
   return DenseBytes(n, dim) + DenseBytes(tables * bits, dim) +
          tables * ((uint64_t{1} << bits) + 1 + un) * sizeof(int32_t) +
          un * (sizeof(uint32_t) + sizeof(int32_t)) +

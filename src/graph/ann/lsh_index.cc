@@ -3,9 +3,9 @@
 // (graph/ann/ann_index.h) builds.
 //
 // Build: every indexed row is projected onto `tables * bits` Gaussian
-// hyperplanes with one blocked GEMM (the PR-1 kernel — hashing is a matrix
-// product, not n scalar loops); the sign pattern of each `bits`-wide slice
-// is that table's bucket signature. Each table freezes into a
+// hyperplanes with one blocked GEMM (hashing is a matrix product, not n
+// scalar loops); the sign pattern of each `bits`-wide slice is that table's
+// bucket signature. Each table freezes, by a counting sort, into a
 // direct-addressed CSR layout — bucket_starts (2^bits + 1 offsets) plus a
 // packed id array ordered by (signature, id) — so probing a bucket is two
 // array reads, not a binary search over the whole table (the searches were
@@ -16,11 +16,11 @@
 // table the exact bucket is probed first, then buckets at Hamming
 // distance 1, 2, ... obtained by flipping the lowest-|projection| bits
 // (the bits most likely to disagree across the boundary). The union of
-// probed buckets, deduped with a stamp array, is re-ranked exactly against
-// the stored base rows through a bounded (score desc, id asc) heap — the
-// same total order TopKSelect uses — so the output contract (descending
-// score, lowest index wins) is identical to the exact chunked scan and
-// recall is the only difference.
+// probed buckets, deduped with a stamp array, is scored against the stored
+// base rows by the lane kernel RowDots (la/row_dots.h) and kept through a
+// bounded (score desc, id asc) heap — the same total order TopKSelect
+// uses — so the output contract (descending score, lowest index wins) is
+// identical to the exact chunked scan and recall is the only difference.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/memory_budget.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -40,6 +41,7 @@
 #include "graph/similarity_chunked.h"
 #include "la/matrix.h"
 #include "la/ops.h"
+#include "la/row_dots.h"
 
 namespace galign {
 namespace {
@@ -50,8 +52,6 @@ constexpr int64_t kHashBlockRows = 4096;
 constexpr int64_t kQueryBlockRows = 256;
 
 constexpr double kNoScore = -std::numeric_limits<double>::infinity();
-
-using SigEntry = std::pair<uint32_t, int32_t>;  // (signature, base row id)
 
 // Allocates the -1 / -inf padded TopKAlignment skeleton QueryBatch fills
 // (rows_computed stays 0 for the caller to advance).
@@ -70,13 +70,6 @@ Result<TopKAlignment> MakeEmptyTopK(int64_t rows, int64_t cols, int64_t k) {
         std::to_string(k) + " does not fit");
   }
   return out;
-}
-
-// Plain inner product of two length-d rows (the re-ranking metric).
-inline double RowDot(const double* a, const double* b, int64_t d) {
-  double acc = 0.0;
-  for (int64_t i = 0; i < d; ++i) acc += a[i] * b[i];
-  return acc;
 }
 
 class LshIndex final : public AnnIndex {
@@ -177,12 +170,13 @@ Status LshIndex::BuildTables(const RunContext& ctx) {
     return Status::OK();
   }
 
-  // Transient per-table (signature, id) pairs; frozen into CSR below.
-  std::vector<std::vector<SigEntry>> entries(static_cast<size_t>(tables_));
+  // Transient signatures, table-major: sigs[t * n + r] is row r's bucket in
+  // table t. Frozen into CSR below.
+  std::vector<uint32_t> sigs;
   try {
-    for (auto& t : entries) t.reserve(static_cast<size_t>(n));
+    sigs.resize(static_cast<size_t>(tables_ * n));
   } catch (const std::bad_alloc&) {
-    return Status::ResourceExhausted("LshIndex: bucket arrays for " +
+    return Status::ResourceExhausted("LshIndex: signatures for " +
                                      std::to_string(n) + " rows do not fit");
   }
 
@@ -193,33 +187,28 @@ Status LshIndex::BuildTables(const RunContext& ctx) {
   for (int64_t r0 = 0; r0 < n; r0 += kHashBlockRows) {
     if (ctx.ShouldStop()) break;  // truncated index over the prefix
     const int64_t nrows = std::min(kHashBlockRows, n - r0);
-    const Matrix strip = base_.Block(r0, 0, nrows, base_.cols());
     if (p.rows() != nrows) p.Resize(nrows, sig_cols);
-    MatMulTransposedBInto(strip, planes_, &p);
-    for (int64_t i = 0; i < nrows; ++i) {
-      for (int64_t t = 0; t < tables_; ++t) {
-        entries[static_cast<size_t>(t)].emplace_back(
-            Signature(p, i, t), static_cast<int32_t>(r0 + i));
-      }
-    }
+    MatMulTransposedBRowsInto(base_, r0, nrows, planes_, &p);
+    ParallelFor(
+        0, nrows,
+        [&](int64_t i0, int64_t i1) {
+          for (int64_t i = i0; i < i1; ++i) {
+            for (int64_t t = 0; t < tables_; ++t) {
+              sigs[static_cast<size_t>(t * n + r0 + i)] = Signature(p, i, t);
+            }
+          }
+        },
+        /*min_chunk=*/512);
     indexed_ = r0 + nrows;
   }
 
-  // Freeze: sort by (signature, id), then prefix-sum bucket counts into
-  // the direct-addressed offset arrays.
+  // Freeze each table by a counting sort: bucket sizes prefix-summed into
+  // the offsets, then the ids placed in ascending order, which leaves every
+  // bucket sorted by id — the (signature, id) order.
   try {
     for (int64_t t = 0; t < tables_; ++t) {
-      auto& ent = entries[static_cast<size_t>(t)];
-      std::sort(ent.begin(), ent.end());
-      auto& starts = bucket_starts_[static_cast<size_t>(t)];
-      auto& ids = bucket_ids_[static_cast<size_t>(t)];
-      starts.assign(nbuckets + 1, 0);
-      ids.resize(ent.size());
-      for (const SigEntry& e : ent) ++starts[e.first + 1];
-      for (size_t s = 1; s <= nbuckets; ++s) starts[s] += starts[s - 1];
-      for (size_t j = 0; j < ent.size(); ++j) ids[j] = ent[j].second;
-      ent.clear();
-      ent.shrink_to_fit();
+      bucket_starts_[static_cast<size_t>(t)].assign(nbuckets + 1, 0);
+      bucket_ids_[static_cast<size_t>(t)].resize(static_cast<size_t>(indexed_));
     }
   } catch (const std::bad_alloc&) {
     return Status::ResourceExhausted("LshIndex: bucket offsets for " +
@@ -227,6 +216,26 @@ Status LshIndex::BuildTables(const RunContext& ctx) {
                                      std::to_string(bits_) +
                                      " buckets do not fit");
   }
+  ParallelFor(
+      0, tables_,
+      [&](int64_t t0, int64_t t1) {
+        for (int64_t t = t0; t < t1; ++t) {
+          const uint32_t* sig = sigs.data() + t * n;
+          auto& starts = bucket_starts_[static_cast<size_t>(t)];
+          auto& ids = bucket_ids_[static_cast<size_t>(t)];
+          for (int64_t r = 0; r < indexed_; ++r) ++starts[sig[r] + 1];
+          for (size_t b = 1; b <= nbuckets; ++b) starts[b] += starts[b - 1];
+          // starts[b] is bucket b's next free slot while placing, so it
+          // ends at bucket b + 1's offset; shifting by one restores it.
+          for (int64_t r = 0; r < indexed_; ++r) {
+            const int32_t at = starts[sig[r]]++;
+            ids[static_cast<size_t>(at)] = static_cast<int32_t>(r);
+          }
+          for (size_t b = nbuckets; b > 0; --b) starts[b] = starts[b - 1];
+          starts[0] = 0;
+        }
+      },
+      /*min_chunk=*/1);
   return Status::OK();
 }
 
@@ -273,9 +282,8 @@ Result<TopKAlignment> LshIndex::QueryBatch(const Matrix& queries, int64_t k,
   for (int64_t r0 = 0; r0 < rows; r0 += qblock) {
     if (ctx.ShouldStop()) break;  // wind down with the rows finished so far
     const int64_t nrows = std::min(qblock, rows - r0);
-    const Matrix strip = queries.Block(r0, 0, nrows, queries.cols());
     if (p.rows() != nrows) p.Resize(nrows, sig_cols);
-    MatMulTransposedBInto(strip, planes_, &p);
+    MatMulTransposedBRowsInto(queries, r0, nrows, planes_, &p);
 
     ParallelFor(
         0, nrows,
@@ -284,6 +292,8 @@ Result<TopKAlignment> LshIndex::QueryBatch(const Matrix& queries, int64_t k,
           // without clearing between queries.
           std::vector<int32_t> stamp(static_cast<size_t>(base_.rows()), -1);
           std::vector<int32_t> cand;
+          std::vector<const double*> cand_rows;
+          std::vector<double> scores;
           std::vector<int32_t> order(static_cast<size_t>(bits_));
           // Bounded top-k heap over (score, id), worst kept entry on top.
           // Candidates stream through in bucket order — no sort, no dense
@@ -335,12 +345,17 @@ Result<TopKAlignment> LshIndex::QueryBatch(const Matrix& queries, int64_t k,
                 }
               }
             }
-            const int64_t csize = static_cast<int64_t>(cand.size());
-            const double* qr = queries.row_data(r0 + i);
+            const size_t csize = cand.size();
+            cand_rows.resize(csize);
+            scores.resize(csize);
+            for (size_t c = 0; c < csize; ++c) {
+              cand_rows[c] = base_.row_data(cand[c]);
+            }
+            RowDots(queries.row_data(r0 + i), cand_rows.data(),
+                    static_cast<int64_t>(csize), base_.cols(), scores.data());
             heap.clear();
-            for (int64_t c = 0; c < csize; ++c) {
-              const int32_t id = cand[static_cast<size_t>(c)];
-              const Ent e{RowDot(qr, base_.row_data(id), base_.cols()), id};
+            for (size_t c = 0; c < csize; ++c) {
+              const Ent e{scores[c], cand[c]};
               if (static_cast<int64_t>(heap.size()) < kq) {
                 heap.push_back(e);
                 std::push_heap(heap.begin(), heap.end(), better);
@@ -375,6 +390,11 @@ Result<std::unique_ptr<AnnIndex>> BuildAnnIndex(Matrix base,
                                                 const RunContext& ctx) {
   if (base.rows() < 0 || base.cols() < 0) {
     return Status::InvalidArgument("BuildAnnIndex: negative base extents");
+  }
+  // A failed build, as a budget refusal would fail it: refinement falls
+  // back to its exact scan for that iteration.
+  if (fault::ShouldFailIO("ann.build")) {
+    return Status::ResourceExhausted("BuildAnnIndex: injected build failure");
   }
   const int64_t n = base.rows();
   const int64_t d = base.cols();

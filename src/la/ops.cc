@@ -221,18 +221,22 @@ void MicroKernel(const double* __restrict ap, const double* __restrict bp,
 }
 #endif
 
+// With `a_rows` >= 0 (kNN and kNT only), opA is rows [a_row0, a_row0 +
+// a_rows) of `a`, read in place.
 void GemmBlocked(GemmKind kind, const Matrix& a, const Matrix& b, Matrix* out,
-                 bool accumulate) {
+                 bool accumulate, int64_t a_row0 = 0, int64_t a_rows = -1) {
   GALIGN_DCHECK(out != &a && out != &b);
+  GALIGN_DCHECK(a_rows < 0 || (kind != GemmKind::kTN && a_row0 >= 0 &&
+                               a_row0 + a_rows <= a.rows()));
   int64_t m = 0, k = 0, n = 0;
   switch (kind) {
     case GemmKind::kNN:
       GALIGN_DCHECK(a.cols() == b.rows());
-      m = a.rows(), k = a.cols(), n = b.cols();
+      m = a_rows >= 0 ? a_rows : a.rows(), k = a.cols(), n = b.cols();
       break;
     case GemmKind::kNT:
       GALIGN_DCHECK(a.cols() == b.cols());
-      m = a.rows(), k = a.cols(), n = b.rows();
+      m = a_rows >= 0 ? a_rows : a.rows(), k = a.cols(), n = b.rows();
       break;
     case GemmKind::kTN:
       GALIGN_DCHECK(a.rows() == b.rows());
@@ -271,7 +275,7 @@ void GemmBlocked(GemmKind kind, const Matrix& a, const Matrix& b, Matrix* out,
           const int64_t nstrips = (nc + kNr - 1) / kNr;
           for (int64_t pc = 0; pc < k; pc += kKc) {
             const int64_t kc = std::min<int64_t>(kKc, k - pc);
-            PackA(kind, a, ic, mc, pc, kc, apack.data());
+            PackA(kind, a, a_row0 + ic, mc, pc, kc, apack.data());
             PackB(kind, b, pc, kc, jc, nc, bpack.data());
             const bool overwrite = !accumulate && pc == 0;
             for (int64_t js = 0; js < nstrips; ++js) {
@@ -414,6 +418,11 @@ void MatMulTransposedBInto(const Matrix& a, const Matrix& b, Matrix* out,
 void MatMulTransposedAInto(const Matrix& a, const Matrix& b, Matrix* out,
                            bool accumulate) {
   GemmBlocked(GemmKind::kTN, a, b, out, accumulate);
+}
+
+void MatMulTransposedBRowsInto(const Matrix& a, int64_t r0, int64_t rows,
+                               const Matrix& b, Matrix* out) {
+  GemmBlocked(GemmKind::kNT, a, b, out, /*accumulate=*/false, r0, rows);
 }
 
 void MatMulInto(const SparseMatrix& a, const Matrix& b, Matrix* out,

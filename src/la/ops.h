@@ -55,6 +55,12 @@ void MatMulTransposedBInto(const Matrix& a, const Matrix& b, Matrix* out,
 void MatMulTransposedAInto(const Matrix& a, const Matrix& b, Matrix* out,
                            bool accumulate = false);
 
+/// out = A[r0 : r0 + rows) * B^T: MatMulTransposedBInto over a row range of
+/// A, read in place, with the bits of multiplying a.Block(r0, 0, rows,
+/// a.cols()). Same aliasing contract.
+void MatMulTransposedBRowsInto(const Matrix& a, int64_t r0, int64_t rows,
+                               const Matrix& b, Matrix* out);
+
 /// out = A * B for a CSR A (out += when accumulate), bit-identical to
 /// MatMulInto(a.ToDense(), b, out, accumulate) apart from the sign of a zero
 /// produced by underflow. When b holds NaN or Inf it runs that dense kernel,

@@ -1,13 +1,14 @@
 // Unit tests for the ANN retrieval layer (DESIGN.md §11): the LSH index's
 // construction/query contracts, determinism, truncation under cancellation,
-// budget admission, the concat reduction, the routing policy, and the
-// serialized recipe (both layout versions). The recall *property*
-// (measured recall >= target on generated workloads) lives in
-// ann_recall_test.cc.
+// budget admission, the concat reduction, the routing policy, the re-rank
+// kernel's bit contract, and the serialized recipe (both layout versions).
+// The recall *property* (measured recall >= target on generated workloads)
+// lives in ann_recall_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "graph/ann/ann_io.h"
 #include "graph/similarity_chunked.h"
 #include "la/matrix.h"
+#include "la/row_dots.h"
 
 namespace galign {
 namespace {
@@ -251,6 +253,98 @@ TEST(AnnEmbeddingTest, RejectsMalformedInput) {
   std::vector<Matrix> ht_wrong_dim = {UnitRows(8, 6, 2)};
   EXPECT_FALSE(
       AnnEmbeddingTopK(hs, ht_wrong_dim, {1.0}, 3, policy, RunContext()).ok());
+}
+
+// --- Re-rank kernel (la/row_dots.h) ----------------------------------------
+
+// The re-rank loop RowDots replaced, verbatim but kept out of line, so that
+// GCC compiles it as it did there: for a d known only at run time.
+[[gnu::noinline]] double RowDot(const double* a, const double* b, int64_t d) {
+  double acc = 0.0;
+  for (int64_t i = 0; i < d; ++i) acc += a[i] * b[i];
+  return acc;
+}
+
+bool SameDouble(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Every width up to 40 (each vector-block and tail boundary), a trained
+// layer's 100, and topk_ann_6k's 216-wide concatenation +-1.
+std::vector<int64_t> KernelWidths() {
+  std::vector<int64_t> widths;
+  for (int64_t d = 1; d <= 40; ++d) widths.push_back(d);
+  widths.push_back(100);
+  for (int64_t d = 215; d <= 217; ++d) widths.push_back(d);
+  return widths;
+}
+
+std::vector<int64_t> CandidateCounts() {
+  std::vector<int64_t> counts;
+  for (int64_t n = 0; n <= 17; ++n) counts.push_back(n);
+  counts.push_back(384);
+  return counts;
+}
+
+// Gaussian entries scaled by powers of two from 2^-6 to 2^6, so that a
+// fused or reordered operation rounds differently.
+Matrix WideRangeRows(int64_t n, int64_t d, uint64_t seed) {
+  Rng rng(seed);
+  Matrix m = Matrix::Gaussian(n, d, &rng);
+  for (int64_t i = 0; i < m.size(); ++i) {
+    m.data()[i] =
+        std::ldexp(m.data()[i], static_cast<int>(rng.UniformInt(13)) - 6);
+  }
+  return m;
+}
+
+TEST(RowDotsTest, MatchesThePlainLoopBitForBit) {
+  for (const int64_t d : KernelWidths()) {
+    const Matrix base = WideRangeRows(400, d, 1000 + d);
+    const Matrix q = WideRangeRows(1, d, 2000 + d);
+    for (const int64_t n : CandidateCounts()) {
+      // Scattered rows, as the candidates of a probe come.
+      std::vector<const double*> rows(static_cast<size_t>(n));
+      for (int64_t c = 0; c < n; ++c) rows[c] = base.row_data((c * 37) % 400);
+      std::vector<double> out(static_cast<size_t>(n) + 1, 42.0);
+      RowDots(q.data(), rows.data(), n, d, out.data());
+      for (int64_t c = 0; c < n; ++c) {
+        ASSERT_TRUE(SameDouble(out[c], RowDot(q.data(), rows[c], d)))
+            << "d=" << d << " n=" << n << " candidate " << c;
+      }
+      EXPECT_EQ(out[n], 42.0) << "wrote past the last candidate";
+    }
+  }
+}
+
+TEST(RowDotsTest, QueryBatchScoresAreThePlainLoop) {
+  // A published artifact fingerprints QueryBatch's score bits, so they are
+  // pinned to the loop they came from at every width.
+  int64_t compared = 0;
+  for (const int64_t d : KernelWidths()) {
+    for (const int64_t n : CandidateCounts()) {
+      const Matrix base = UnitRows(n, d, 3000 + 7 * d + n);
+      const Matrix queries = UnitRows(4, d, 4000 + 7 * d + n);
+      auto index = BuildAnnIndex(base, AnnConfig(), RunContext());
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      auto topk =
+          index.ValueOrDie()->QueryBatch(queries, std::max<int64_t>(n, 1));
+      ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+      const TopKAlignment& a = topk.ValueOrDie();
+      for (int64_t v = 0; v < a.rows; ++v) {
+        for (int64_t j = 0; j < a.k; ++j) {
+          const int64_t id = a.index[v * a.k + j];
+          if (id < 0) continue;
+          ++compared;
+          ASSERT_TRUE(SameDouble(a.score[v * a.k + j],
+                                 RowDot(queries.row_data(v),
+                                        base.row_data(id), d)))
+              << "d=" << d << " base rows " << n << " query " << v;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 44 * 4 * 100);
 }
 
 // --- Recipe (graph/ann/ann_io.h) -------------------------------------------

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
+#include <utility>
 
+#include "common/fault.h"
 #include "core/trainer.h"
+#include "graph/ann/ann.h"
 #include "graph/generators.h"
 #include "graph/noise.h"
 #include "la/ops.h"
@@ -412,8 +418,14 @@ TEST(StabilityScannerTest, IncrementalRescanMatchesFullScanUnderInfluenceUpdates
   EXPECT_GE(with_stable, 3);
 }
 
-// Alg. 2 with a full re-embed and a full dense scan every iteration: the
-// reference RefineAlignment's incremental loop must reproduce bit for bit.
+// The stability scan of one reference iteration (0 = the initial scan).
+using ScanAt = std::function<StabilityScan(int iteration,
+                                           const std::vector<Matrix>& hs,
+                                           const std::vector<Matrix>& ht)>;
+
+// Alg. 2 with a full re-embed every iteration and `scan_at` as each
+// iteration's scan: the reference RefineAlignment's incremental loop must
+// reproduce bit for bit.
 struct ReferenceRun {
   RefinementResult result;
   int iterations_with_stable = 0;
@@ -422,7 +434,7 @@ struct ReferenceRun {
 ReferenceRun ReferenceRefine(const MultiOrderGcn& gcn,
                              const AttributedGraph& source,
                              const AttributedGraph& target,
-                             const GAlignConfig& cfg) {
+                             const GAlignConfig& cfg, const ScanAt& scan_at) {
   const std::vector<double> theta = cfg.EffectiveLayerWeights();
   std::vector<double> alpha_s(source.num_nodes(), 1.0);
   std::vector<double> alpha_t(target.num_nodes(), 1.0);
@@ -431,27 +443,27 @@ ReferenceRun ReferenceRefine(const MultiOrderGcn& gcn,
   };
   std::vector<Matrix> hs = embed(source, alpha_s);
   std::vector<Matrix> ht = embed(target, alpha_t);
-  DenseScan scan(hs, ht, theta, cfg.stability_threshold);
+  StabilityScan scan = scan_at(0, hs, ht);
   ReferenceRun run;
   RefinementResult& r = run.result;
-  r.best_score = scan.result.aggregate_score;
+  r.best_score = scan.aggregate_score;
   r.score_history.push_back(r.best_score);
   std::vector<Matrix> best_hs = hs, best_ht = ht;
   for (int iter = 1; iter <= cfg.refinement_iterations; ++iter) {
-    run.iterations_with_stable += !scan.result.stable_source.empty() ||
-                                  !scan.result.stable_target.empty();
-    for (const int64_t v : scan.result.stable_source) {
+    run.iterations_with_stable +=
+        !scan.stable_source.empty() || !scan.stable_target.empty();
+    for (const int64_t v : scan.stable_source) {
       alpha_s[v] *= cfg.accumulation_factor;
     }
-    for (const int64_t u : scan.result.stable_target) {
+    for (const int64_t u : scan.stable_target) {
       alpha_t[u] *= cfg.accumulation_factor;
     }
     hs = embed(source, alpha_s);
     ht = embed(target, alpha_t);
-    scan = DenseScan(hs, ht, theta, cfg.stability_threshold);
-    r.score_history.push_back(scan.result.aggregate_score);
-    if (scan.result.aggregate_score > r.best_score) {
-      r.best_score = scan.result.aggregate_score;
+    scan = scan_at(iter, hs, ht);
+    r.score_history.push_back(scan.aggregate_score);
+    if (scan.aggregate_score > r.best_score) {
+      r.best_score = scan.aggregate_score;
       r.best_iteration = iter;
       best_hs = hs;
       best_ht = ht;
@@ -463,25 +475,64 @@ ReferenceRun ReferenceRefine(const MultiOrderGcn& gcn,
   return run;
 }
 
-TEST(IncrementalRefinementTest, MatchesFullReembedAndFullScanEveryIteration) {
-  // 600 nodes with hubs: the stable nodes' 2-hop sets are neither empty nor
-  // the whole graph, and the full scans span two 512-row blocks.
-  Rng rng(41);
-  auto g = BarabasiAlbert(600, 2, &rng).MoveValueOrDie();
-  g = g.WithAttributes(BinaryAttributes(600, 8, 0.3, &rng)).MoveValueOrDie();
-  NoisyCopyOptions opts;
-  opts.structural_noise = 0.05;
-  const AlignmentPair pair = MakeNoisyCopyPair(g, opts, &rng).MoveValueOrDie();
+// 600 nodes with hubs and a GCN trained on them: the stable nodes' 2-hop
+// sets are neither empty nor the whole graph, and the full scans span two
+// 512-row blocks.
+struct HubPair {
+  AlignmentPair pair;
   GAlignConfig cfg;
-  cfg.epochs = 20;
-  cfg.embedding_dim = 16;
-  cfg.refinement_iterations = 8;
-  cfg.stability_threshold = 0.9;
-  MultiOrderGcn gcn(cfg.num_layers, g.num_attributes(), cfg.embedding_dim,
-                    &rng);
-  Trainer(cfg).Train(&gcn, pair.source, pair.target, &rng).CheckOK();
+  std::unique_ptr<MultiOrderGcn> gcn;
 
-  const ReferenceRun ref = ReferenceRefine(gcn, pair.source, pair.target, cfg);
+  HubPair() {
+    Rng rng(41);
+    auto g = BarabasiAlbert(600, 2, &rng).MoveValueOrDie();
+    g = g.WithAttributes(BinaryAttributes(600, 8, 0.3, &rng)).MoveValueOrDie();
+    NoisyCopyOptions opts;
+    opts.structural_noise = 0.05;
+    pair = MakeNoisyCopyPair(g, opts, &rng).MoveValueOrDie();
+    cfg.epochs = 20;
+    cfg.embedding_dim = 16;
+    cfg.refinement_iterations = 8;
+    cfg.stability_threshold = 0.9;
+    gcn = std::make_unique<MultiOrderGcn>(cfg.num_layers, g.num_attributes(),
+                                          cfg.embedding_dim, &rng);
+    Trainer(cfg).Train(gcn.get(), pair.source, pair.target, &rng).CheckOK();
+  }
+};
+
+void ExpectSameRun(const RefinementResult& r, const RefinementResult& want,
+                   const GAlignConfig& cfg, bool materialize) {
+  ASSERT_EQ(r.score_history.size(), want.score_history.size());
+  EXPECT_EQ(std::memcmp(r.score_history.data(), want.score_history.data(),
+                        r.score_history.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(r.best_iteration, want.best_iteration);
+  EXPECT_TRUE(SameDouble(r.best_score, want.best_score));
+  EXPECT_EQ(r.report.iterations, cfg.refinement_iterations);
+  ASSERT_EQ(r.source_embeddings.size(), want.source_embeddings.size());
+  for (size_t l = 0; l < r.source_embeddings.size(); ++l) {
+    EXPECT_TRUE(SameBits(r.source_embeddings[l], want.source_embeddings[l]));
+    EXPECT_TRUE(SameBits(r.target_embeddings[l], want.target_embeddings[l]));
+  }
+  if (materialize) {
+    EXPECT_TRUE(SameBits(r.alignment, want.alignment));
+  } else {
+    EXPECT_TRUE(r.alignment.empty());
+  }
+}
+
+TEST(IncrementalRefinementTest, MatchesFullReembedAndFullScanEveryIteration) {
+  const HubPair hub;
+  const AlignmentPair& pair = hub.pair;
+  const GAlignConfig& cfg = hub.cfg;
+  const MultiOrderGcn& gcn = *hub.gcn;
+  const std::vector<double> theta = cfg.EffectiveLayerWeights();
+
+  const ReferenceRun ref = ReferenceRefine(
+      gcn, pair.source, pair.target, cfg,
+      [&](int, const std::vector<Matrix>& hs, const std::vector<Matrix>& ht) {
+        return DenseScan(hs, ht, theta, cfg.stability_threshold).result;
+      });
   EXPECT_GE(ref.iterations_with_stable, 3);
   const RefinementResult& want = ref.result;
   // A candidate-pair policy whose index a 1-byte budget never admits: each
@@ -503,28 +554,257 @@ TEST(IncrementalRefinementTest, MatchesFullReembedAndFullScanEveryIteration) {
                           : RefineAlignment(gcn, pair.source, pair.target, cfg,
                                             RunContext(), materialize);
       ASSERT_TRUE(got.ok());
-      const RefinementResult& r = got.ValueOrDie();
-      ASSERT_EQ(r.score_history.size(), want.score_history.size());
-      EXPECT_EQ(std::memcmp(r.score_history.data(), want.score_history.data(),
-                            r.score_history.size() * sizeof(double)),
-                0);
-      EXPECT_EQ(r.best_iteration, want.best_iteration);
-      EXPECT_TRUE(SameDouble(r.best_score, want.best_score));
-      EXPECT_EQ(r.report.iterations, cfg.refinement_iterations);
-      ASSERT_EQ(r.source_embeddings.size(), want.source_embeddings.size());
-      for (size_t l = 0; l < r.source_embeddings.size(); ++l) {
-        EXPECT_TRUE(
-            SameBits(r.source_embeddings[l], want.source_embeddings[l]));
-        EXPECT_TRUE(
-            SameBits(r.target_embeddings[l], want.target_embeddings[l]));
-      }
-      if (materialize) {
-        EXPECT_TRUE(SameBits(r.alignment, want.alignment));
-      } else {
-        EXPECT_TRUE(r.alignment.empty());
-      }
+      ExpectSameRun(got.ValueOrDie(), want, cfg, materialize);
     }
   }
+}
+
+TEST(IncrementalRefinementTest, MixesCandidateAndFallbackScansPerIteration) {
+  // The index build fails in iterations 2 and 3 only ("ann.build" counts
+  // one build per scan, the initial scan being call 0): those two
+  // iterations take the exact scan, every other one the candidate scan.
+  const HubPair hub;
+  const AlignmentPair& pair = hub.pair;
+  const GAlignConfig& cfg = hub.cfg;
+  const MultiOrderGcn& gcn = *hub.gcn;
+  const std::vector<double> theta = cfg.EffectiveLayerWeights();
+  AnnPolicy ann;
+  ann.mode = AnnMode::kOn;
+  auto candidates = [&](const std::vector<Matrix>& hs,
+                        const std::vector<Matrix>& ht) {
+    return ScanStabilityCandidates(hs, ht, theta, cfg.stability_threshold,
+                                   ann, RunContext())
+        .MoveValueOrDie();
+  };
+  const ReferenceRun mixed = ReferenceRefine(
+      gcn, pair.source, pair.target, cfg,
+      [&](int iter, const std::vector<Matrix>& hs,
+          const std::vector<Matrix>& ht) {
+        return iter == 2 || iter == 3
+                   ? DenseScan(hs, ht, theta, cfg.stability_threshold).result
+                   : candidates(hs, ht);
+      });
+  EXPECT_GE(mixed.iterations_with_stable, 3);
+  // The routes give different runs, so taking the wrong one shows.
+  const ReferenceRun all_candidates = ReferenceRefine(
+      gcn, pair.source, pair.target, cfg,
+      [&](int, const std::vector<Matrix>& hs, const std::vector<Matrix>& ht) {
+        return candidates(hs, ht);
+      });
+  ASSERT_NE(std::memcmp(mixed.result.score_history.data(),
+                        all_candidates.result.score_history.data(),
+                        mixed.result.score_history.size() * sizeof(double)),
+            0);
+
+  for (const bool materialize : {true, false}) {
+    SCOPED_TRACE(materialize ? "materialize" : "embeddings");
+    fault::Spec spec;
+    spec.kind = fault::Kind::kFailIO;
+    spec.at_call = 2;
+    spec.repeat = 2;
+    fault::Arm("ann.build", spec);
+    auto got = RefineAlignment(gcn, pair.source, pair.target, cfg,
+                               RunContext(), materialize, &ann);
+    const int64_t builds = fault::CallCount("ann.build");
+    fault::DisarmAll();
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(builds, cfg.refinement_iterations + 1);
+    ExpectSameRun(got.ValueOrDie(), mixed.result, cfg, materialize);
+  }
+}
+
+// --- Candidate-pair statistics (DESIGN.md §11) ------------------------------
+
+// The statistics loop ScanCandidatePairs replaced: serial, every layer's
+// lines kept, one plain dot product per layer and pair.
+struct SerialCandidateScan {
+  std::vector<std::vector<int64_t>> row_arg, col_arg;
+  std::vector<std::vector<double>> row_max, col_max;
+  StabilityScan out;
+};
+
+SerialCandidateScan SerialCandidateStatistics(const std::vector<Matrix>& hs,
+                                              const std::vector<Matrix>& ht,
+                                              const std::vector<double>& theta,
+                                              double lambda,
+                                              const TopKAlignment& topk) {
+  const size_t layers = hs.size();
+  const int64_t n1 = hs[0].rows();
+  const int64_t n2 = ht[0].rows();
+  SerialCandidateScan r;
+  std::vector<std::vector<int64_t>>& row_arg = r.row_arg;
+  std::vector<std::vector<double>>& row_max = r.row_max;
+  std::vector<std::vector<int64_t>>& col_arg = r.col_arg;
+  std::vector<std::vector<double>>& col_max = r.col_max;
+  row_arg.assign(layers, std::vector<int64_t>(n1, -1));
+  row_max.assign(layers, std::vector<double>(n1, -1e300));
+  col_arg.assign(layers, std::vector<int64_t>(n2, -1));
+  col_max.assign(layers, std::vector<double>(n2, -1e300));
+
+  StabilityScan& out = r.out;
+  std::vector<int64_t> cands;
+  cands.reserve(static_cast<size_t>(topk.k));
+  for (int64_t v = 0; v < topk.rows_computed; ++v) {
+    cands.clear();
+    for (int64_t j = 0; j < topk.k; ++j) {
+      const int64_t u = topk.index[v * topk.k + j];
+      if (u >= 0) cands.push_back(u);
+    }
+    // Ascending ids so the strict `>` updates below break ties exactly
+    // like the exact scan (first maximum wins).
+    std::sort(cands.begin(), cands.end());
+    double agg_max = -1e300;
+    bool any = false;
+    for (const int64_t u : cands) {
+      double agg = 0.0;
+      for (size_t l = 0; l < layers; ++l) {
+        double s = 0.0;
+        const double* a = hs[l].row_data(v);
+        const double* b = ht[l].row_data(u);
+        for (int64_t c = 0; c < hs[l].cols(); ++c) s += a[c] * b[c];
+        if (s > row_max[l][v]) {
+          row_max[l][v] = s;
+          row_arg[l][v] = u;
+        }
+        if (s > col_max[l][u]) {
+          col_max[l][u] = s;
+          col_arg[l][u] = v;
+        }
+        if (theta[l] != 0.0) agg += theta[l] * s;
+      }
+      if (agg > agg_max) agg_max = agg;
+      any = true;
+    }
+    if (any) out.aggregate_score += agg_max;
+  }
+
+  const size_t first = layers > 1 ? 1 : 0;
+  for (int64_t v = 0; v < n1; ++v) {
+    if (row_arg[first][v] < 0) continue;  // no candidates retrieved
+    bool stable = true;
+    for (size_t l = first; l < layers && stable; ++l) {
+      stable = row_arg[l][v] == row_arg[first][v] && row_max[l][v] > lambda;
+    }
+    if (stable) out.stable_source.push_back(v);
+  }
+  for (int64_t u = 0; u < n2; ++u) {
+    if (col_arg[first][u] < 0) continue;  // never retrieved as a candidate
+    bool stable = true;
+    for (size_t l = first; l < layers && stable; ++l) {
+      stable = col_arg[l][u] == col_arg[first][u] && col_max[l][u] > lambda;
+    }
+    if (stable) out.stable_target.push_back(u);
+  }
+  return r;
+}
+
+void ExpectSameCandidateScan(const CandidateScan& got,
+                             const SerialCandidateScan& want) {
+  const size_t layers = want.row_arg.size();
+  ASSERT_EQ(got.row_max.size(), layers - 1);
+  for (size_t l = 1; l < layers; ++l) {
+    EXPECT_TRUE(SameLine(got.row_max[l - 1],
+                         FirstMax{want.row_max[l], want.row_arg[l]}))
+        << "row maxima of layer " << l;
+    EXPECT_TRUE(SameLine(got.col_max[l - 1],
+                         FirstMax{want.col_max[l], want.col_arg[l]}))
+        << "column maxima of layer " << l;
+  }
+  EXPECT_EQ(got.scan.stable_source, want.out.stable_source);
+  EXPECT_EQ(got.scan.stable_target, want.out.stable_target);
+  EXPECT_TRUE(SameDouble(got.scan.aggregate_score, want.out.aggregate_score));
+}
+
+TEST(CandidateScanTest, PooledStatisticsMatchTheSerialLoop) {
+  // 700 source rows run in three 256-row slices. Twin source rows sit on
+  // both sides of slice boundaries and twin target rows side by side, so
+  // first-maximum ties decide rows and columns across slices. Source rows
+  // below 300 copy their target row exactly (score 1 in every layer, so
+  // stable); the rest are noisy copies. Layer widths are odd and even.
+  Rng rng(17);
+  const int64_t n1 = 700, n2 = 300;
+  std::vector<Matrix> hs, ht;
+  for (const int64_t d : {7, 12, 13}) {
+    Matrix t = Matrix::Gaussian(n2, d, &rng);
+    std::copy(t.row_data(10), t.row_data(11), t.row_data(11));
+    std::copy(t.row_data(0), t.row_data(1), t.row_data(299));
+    t.NormalizeRows();
+    Matrix s = Matrix::Gaussian(n1, d, &rng, 0.3);
+    for (int64_t v = 0; v < n1; ++v) {
+      const double* tr = t.row_data(v % n2);
+      double* sr = s.row_data(v);
+      for (int64_t c = 0; c < d; ++c) sr[c] = v < n2 ? tr[c] : sr[c] + tr[c];
+    }
+    for (const auto& [twin, of] : std::vector<std::pair<int64_t, int64_t>>{
+             {256, 255}, {512, 100}, {600, 511}}) {
+      std::copy(s.row_data(of), s.row_data(of + 1), s.row_data(twin));
+    }
+    s.NormalizeRows();
+    hs.push_back(std::move(s));
+    ht.push_back(std::move(t));
+  }
+  // 32 distinct candidates per row in retrieval order (not sorted): the
+  // row's own target, its twin column, then random ones. Twin rows share
+  // their lists; a few rows have empty slots, one has none, and the last
+  // ten were not computed.
+  TopKAlignment topk;
+  topk.rows = n1;
+  topk.cols = n2;
+  topk.k = 32;
+  topk.rows_computed = n1 - 10;
+  topk.index.assign(n1 * topk.k, -1);
+  topk.score.assign(n1 * topk.k, 0.0);
+  for (int64_t v = 0; v < n1; ++v) {
+    std::set<int64_t> seen;
+    std::vector<int64_t> list;
+    auto add = [&](int64_t u) {
+      if (seen.insert(u).second) list.push_back(u);
+    };
+    add(v % n2);
+    if (v % n2 == 10) add(11);
+    if (v % n2 == 0) add(299);
+    while (static_cast<int64_t>(list.size()) < topk.k) add(rng.UniformInt(n2));
+    std::reverse(list.begin(), list.end());
+    const int64_t kept = v % 97 == 5 ? 20 : v == 333 ? 0 : topk.k;
+    for (int64_t j = 0; j < kept; ++j) topk.index[v * topk.k + j] = list[j];
+  }
+  for (const auto& [twin, of] :
+       std::vector<std::pair<int64_t, int64_t>>{{256, 255}, {512, 100},
+                                                {600, 511}}) {
+    std::copy(topk.index.begin() + of * topk.k,
+              topk.index.begin() + (of + 1) * topk.k,
+              topk.index.begin() + twin * topk.k);
+  }
+  for (const std::vector<double>& theta : {std::vector<double>{0.4, 0.3, 0.3},
+                                            std::vector<double>{0.0, 0.5, 0.5}}) {
+    const SerialCandidateScan want =
+        SerialCandidateStatistics(hs, ht, theta, 0.5, topk);
+    ASSERT_FALSE(want.out.stable_source.empty());
+    ASSERT_FALSE(want.out.stable_target.empty());
+    // The ties this input is built for: a twin row loses its columns to
+    // the lower row across a slice boundary, and twin columns go to the
+    // lower id.
+    EXPECT_EQ(want.col_arg[1][255], 255);
+    EXPECT_EQ(want.row_arg[1][10], 10);
+    ExpectSameCandidateScan(
+        ScanCandidatePairs(hs, ht, theta, 0.5, topk), want);
+  }
+
+  // Through the public entry: ANN-retrieved candidates.
+  AnnPolicy ann;
+  ann.mode = AnnMode::kOn;
+  const std::vector<double> theta{0.4, 0.3, 0.3};
+  auto retrieved = AnnEmbeddingTopK(hs, ht, theta, ann.refine_candidates, ann,
+                                    RunContext());
+  ASSERT_TRUE(retrieved.ok());
+  const SerialCandidateScan want = SerialCandidateStatistics(
+      hs, ht, theta, 0.5, retrieved.ValueOrDie());
+  auto got = ScanStabilityCandidates(hs, ht, theta, 0.5, ann, RunContext());
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.ValueOrDie().stable_source, want.out.stable_source);
+  EXPECT_EQ(got.ValueOrDie().stable_target, want.out.stable_target);
+  EXPECT_TRUE(
+      SameDouble(got.ValueOrDie().aggregate_score, want.out.aggregate_score));
 }
 
 TEST_F(RefinementEndToEnd, RejectsMismatchedLayerWeights) {
